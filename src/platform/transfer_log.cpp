@@ -73,30 +73,4 @@ std::string TransferLog::summary() const {
   return os.str();
 }
 
-std::string TransferLog::to_chrome_trace() const {
-  MutexLock lock(mutex_);
-  // Serialize transfers on a per-destination-node timeline; timestamps are
-  // synthetic (each node's transfers are laid end to end) but durations
-  // come from the cost model, which is what one inspects in the viewer.
-  std::map<i32, double> node_clock;
-  std::ostringstream os;
-  os << "{\"traceEvents\":[";
-  bool first = true;
-  for (const TransferRecord& r : records_) {
-    const double us = r.model_time * 1e6;
-    double& clock = node_clock[r.dst.node];
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":\"" << (r.via_network ? "net" : "shm") << " "
-       << format_bytes(r.bytes) << "\",\"cat\":\"" << cls_name(r.cls)
-       << "\",\"ph\":\"X\",\"ts\":" << clock << ",\"dur\":" << us
-       << ",\"pid\":" << r.dst.node << ",\"tid\":" << r.dst.core
-       << ",\"args\":{\"app\":" << r.app_id << ",\"src_node\":" << r.src.node
-       << ",\"bytes\":" << r.bytes << "}}";
-    clock += us;
-  }
-  os << "]}";
-  return os.str();
-}
-
 }  // namespace cods

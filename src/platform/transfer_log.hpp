@@ -1,6 +1,7 @@
 // Optional detailed transfer log: records individual data movements
 // (endpoints, bytes, transport, traffic class, modelled duration) for
-// debugging and offline analysis, with a chrome://tracing JSON export.
+// debugging and offline analysis. Timeline views come from the trace
+// layer's chrome://tracing export (trace/export.hpp).
 // Attach one to HybridDart when per-transfer visibility is needed; the
 // aggregate Metrics registry stays the always-on accounting path.
 #pragma once
@@ -38,10 +39,6 @@ class TransferLog {
 
   /// Summary rows: per (app, class, transport) count and bytes.
   std::string summary() const;
-
-  /// Chrome trace-event JSON ("catapult" format): one complete event per
-  /// transfer, on a per-node timeline, durations from the cost model.
-  std::string to_chrome_trace() const;
 
  private:
   mutable Mutex mutex_{"platform.transfer_log"};

@@ -16,8 +16,8 @@
 //   * Pop order is the same strict (vtime, seq) total order as the heap:
 //     same-vtime events share a bucket by construction, and the seq
 //     tie-break makes the order deterministic. test_calendar_queue pins
-//     pop-for-pop equivalence against the heap oracle
-//     (SimReadyQueue::kBinaryHeap) over seeded interleavings.
+//     pop-for-pop equivalence against a std::priority_queue oracle over
+//     seeded interleavings.
 //
 // The queue is *not* monotone: a notified fiber can re-enter with a
 // vtime earlier than the scan cursor (its virtual clock lags the fibers
@@ -47,8 +47,8 @@ struct ReadyItem {
 };
 
 /// Comparator ordering a later to run item *after* an earlier one; both
-/// the calendar's bucket heaps and the oracle std::priority_queue use it,
-/// so "min" means the same thing in both structures.
+/// the calendar's bucket heaps and the test oracle's std::priority_queue
+/// use it, so "min" means the same thing in both structures.
 struct ReadyAfter {
   bool operator()(const ReadyItem& a, const ReadyItem& b) const {
     if (a.vtime != b.vtime) return a.vtime > b.vtime;

@@ -4,10 +4,11 @@
 // per-application communicators (MPI_Comm_split, paper §IV-C), then run a
 // pre-linked application subroutine.
 //
-// Ranks are std::threads; point-to-point messages go through per-rank
-// mailboxes; every send is byte-accounted against the platform model using
-// the sender/receiver core placement. This substitutes for MPI per
-// DESIGN.md §1 while keeping real data movement and real concurrency.
+// Ranks run on a bounded work-stealing thread pool (kPooled) or as
+// discrete-event fibers on one thread (kSimulate); point-to-point messages
+// go through per-rank mailboxes; every send is byte-accounted against the
+// platform model using the sender/receiver core placement. This
+// substitutes for MPI per DESIGN.md §1 while keeping real data movement.
 #pragma once
 
 #include <atomic>
@@ -27,21 +28,17 @@
 
 namespace cods {
 
-/// How run_collect dispatches rank bodies onto OS threads.
+/// How run_collect dispatches rank bodies.
 enum class ExecMode {
   /// Bounded work-stealing pool with blocking-aware escalation
   /// (WorkStealingExecutor). The default: thread count scales with
   /// hardware concurrency plus concurrently-blocked ranks, not with the
   /// rank count.
   kPooled,
-  /// One std::thread per rank — the pre-pool dispatch, kept for one
-  /// release as a fallback and as the benchmark baseline. Identical
-  /// observable behaviour (traces, ledgers, failure order).
-  kThreadPerRank,
   /// Single-threaded discrete-event enactment (runtime/sim.hpp,
   /// docs/SIMULATION.md): ranks run as cooperative fibers scheduled by
   /// virtual timestamp, so 100k-rank scenarios enact in seconds with the
-  /// same traces, ledgers and failure order as the live modes.
+  /// same traces, ledgers and failure order as kPooled.
   kSimulate,
 };
 
@@ -167,7 +164,7 @@ struct RankFailure {
   std::exception_ptr error;
 };
 
-/// The runtime: spawns ranks as threads and owns their mailboxes.
+/// The runtime: dispatches ranks per ExecMode and owns their mailboxes.
 class Runtime {
  public:
   Runtime(const Cluster& cluster, Metrics& metrics, CostParams params = {})
@@ -230,8 +227,8 @@ class Runtime {
     return recv_timeout_.load(std::memory_order_relaxed);
   }
 
-  /// Runs one rank per entry of `placement`, each on its own thread, with a
-  /// world communicator spanning all of them. Blocks until all ranks
+  /// Runs one rank per entry of `placement`, dispatched per exec_mode(),
+  /// with a world communicator spanning all of them. Blocks until all ranks
   /// return; rethrows the first rank exception.
   void run(const std::vector<CoreLoc>& placement,
            const std::function<void(RankCtx&)>& body);
@@ -254,29 +251,14 @@ class Runtime {
   i32 exec_pool_size() const { return exec_pool_size_; }
 
   /// Thread accounting of the most recent run()/run_collect(). Under
-  /// kThreadPerRank only pool_size/total_spawned/peak_live are filled
-  /// (all equal to the rank count); under kSimulate no rank threads are
-  /// spawned at all (total_spawned = 0, peak_live = 1 scheduler thread)
-  /// and the event-loop accounting lives in last_sim_stats().
+  /// kSimulate no rank threads are spawned at all (total_spawned = 0,
+  /// peak_live = 1 scheduler thread) and the event-loop accounting lives
+  /// in last_sim_stats().
   const ExecutorStats& last_exec_stats() const { return last_exec_stats_; }
 
   /// Discrete-event accounting of the most recent kSimulate
-  /// run()/run_collect(); zeroed by the live modes.
+  /// run()/run_collect(); zeroed by kPooled.
   const SimStats& last_sim_stats() const { return last_sim_stats_; }
-
-  /// Per-fiber stack bytes for ExecMode::kSimulate; <= 0 (the default)
-  /// selects SimEngine::kDefaultStackBytes. Set between waves.
-  void set_sim_stack_bytes(i64 bytes) { sim_stack_bytes_ = bytes; }
-  i64 sim_stack_bytes() const { return sim_stack_bytes_; }
-
-  /// Ready structure for ExecMode::kSimulate (runtime/sim.hpp): the
-  /// calendar queue by default, or the binary-heap oracle — schedules
-  /// are identical, so this only trades event-loop constants. Set
-  /// between waves.
-  void set_sim_ready_queue(SimReadyQueue ready_queue) {
-    sim_ready_queue_ = ready_queue;
-  }
-  SimReadyQueue sim_ready_queue() const { return sim_ready_queue_; }
 
   /// Per-task deadline in modelled seconds installed into every rank's
   /// TaskClock (src/health/task_clock.hpp); 0 = none. Set between waves.
@@ -291,7 +273,7 @@ class Runtime {
   }
 
   // --- internals used by Comm ---
-  /// Mode-dispatching mailbox plane. The live modes keep one Mailbox per
+  /// Mode-dispatching mailbox plane. kPooled keeps one Mailbox per
   /// rank (real threads contend on real locks); ExecMode::kSimulate
   /// swaps the whole plane for a dense SimMailboxPool (one 64-byte cell
   /// per rank, runtime/sim_mailbox.hpp) built by run_collect. Message
@@ -329,7 +311,7 @@ class Runtime {
   // Rebuilt single-threadedly in run_collect() before ranks spawn and only
   // read while they execute (the spawn is the synchronization point).
   // Exactly one of the two planes is populated per run: mailboxes_ for
-  // the live modes, sim_mail_ for kSimulate.
+  // kPooled, sim_mail_ for kSimulate.
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::unique_ptr<SimMailboxPool> sim_mail_;
   std::vector<CoreLoc> placement_;
@@ -339,8 +321,6 @@ class Runtime {
       CODS_GUARDED_BY(comm_groups_mutex_);
   ExecMode exec_mode_ = ExecMode::kPooled;
   i32 exec_pool_size_ = 0;  ///< <= 0: default_pool_size()
-  i64 sim_stack_bytes_ = 0;  ///< <= 0: SimEngine::kDefaultStackBytes
-  SimReadyQueue sim_ready_queue_ = SimReadyQueue::kCalendar;
   ExecutorStats last_exec_stats_;
   SimStats last_sim_stats_;
   double task_deadline_ = 0.0;  ///< set between waves (see set_task_deadline)

@@ -4,7 +4,7 @@
 // fiber (ucontext) on the calling OS thread, scheduled by a central
 // event queue keyed by virtual timestamp. A fiber's virtual time is the
 // modelled time its TaskClock accumulated — the same per-operation costs
-// the live modes charge — so event order follows the cost model, not the
+// kPooled charges — so event order follows the cost model, not the
 // host scheduler. Blocking never parks the thread: every CondVar wait,
 // Mutex acquisition and notification in src/ diverts through the
 // thread-local blocking::SimHook this engine installs (common/
@@ -29,17 +29,6 @@
 
 namespace cods {
 
-/// Which ready structure orders runnable fibers by (vtime, seq).
-/// kCalendar is the default; kBinaryHeap is the original
-/// std::priority_queue, retained as the exact-equivalence oracle
-/// (tests/runtime/test_calendar_queue.cpp) — both produce the identical
-/// strict total order, so every enactment is schedule-identical under
-/// either.
-enum class SimReadyQueue {
-  kCalendar,    ///< calendar queue (runtime/calendar_queue.hpp)
-  kBinaryHeap,  ///< binary min-heap oracle
-};
-
 /// Accounting of one SimEngine::run(): the discrete-event counterpart of
 /// ExecutorStats (runtime/executor.hpp).
 struct SimStats {
@@ -55,8 +44,7 @@ struct SimStats {
   u64 arena_bytes = 0;    ///< stack-arena bytes made writable (stacks x size)
   u64 peak_rss_bytes = 0;  ///< process peak RSS after the run (high-water
                            ///< mark over the process lifetime, not per-run)
-  u64 ready_rebuilds = 0;  ///< calendar-queue bucket rebuilds (0 under the
-                           ///< binary-heap oracle)
+  u64 ready_rebuilds = 0;  ///< calendar-queue bucket rebuilds
 };
 
 /// Single-threaded discrete-event executor with the same run(n, body)
@@ -67,15 +55,6 @@ struct SimStats {
 /// blocking, since fibers are never preempted.
 class SimEngine {
  public:
-  /// Stack bytes reserved per fiber; <= 0 selects kDefaultStackBytes.
-  /// Stacks come from a guard-paged slab arena (runtime/stack_arena.hpp)
-  /// and recycle at fiber retirement, so the carved-slot count tracks
-  /// peak co-residency and only pages a rank actually touches become
-  /// resident. `ready_queue` selects the ready structure (the heap is
-  /// the pinned equivalence oracle; schedules are identical).
-  explicit SimEngine(i64 stack_bytes = 0,
-                     SimReadyQueue ready_queue = SimReadyQueue::kCalendar);
-
   /// Runs bodies 0..ntasks-1 to completion on the calling thread.
   /// Rethrows the lowest-index escaped exception after the run drains
   /// (run_collect's rank wrapper catches per-rank, so engine-driven
@@ -84,11 +63,13 @@ class SimEngine {
 
   const SimStats& stats() const { return stats_; }
 
+  /// Stack bytes reserved per fiber. Stacks come from a guard-paged slab
+  /// arena (runtime/stack_arena.hpp) and recycle at fiber retirement, so
+  /// the carved-slot count tracks peak co-residency and only pages a
+  /// rank actually touches become resident.
   static constexpr i64 kDefaultStackBytes = 96 * 1024;
 
  private:
-  i64 stack_bytes_;
-  SimReadyQueue ready_queue_;
   SimStats stats_;
 };
 

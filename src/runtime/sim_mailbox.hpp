@@ -2,7 +2,7 @@
 // ranks").
 //
 // Under ExecMode::kSimulate every rank is a fiber on one OS thread, so
-// the live modes' per-rank Mailbox — a named Mutex, a CondVar and an
+// kPooled's per-rank Mailbox — a named Mutex, a CondVar and an
 // eagerly-allocated std::deque<Message> per rank, ~800 bytes before the
 // first message — buys nothing: there is no real contention to shard.
 // This pool replaces the whole plane with one flat vector of 64-byte

@@ -10,6 +10,21 @@
 
 namespace cods {
 
+namespace {
+
+/// The runtime settings every enactment shares, whether it runs a whole
+/// wave or one speculative straggler copy.
+void configure_runtime(Runtime& runtime, const WorkflowOptions& options) {
+  if (options.fault != nullptr) {
+    runtime.set_fault(options.fault, options.retry);
+  }
+  runtime.set_transfer_log(options.transfer_log);
+  runtime.set_exec_mode(options.exec_mode);
+  runtime.set_exec_pool_size(options.exec_pool_size);
+}
+
+}  // namespace
+
 WorkflowServer::WorkflowServer(const Cluster& cluster, Metrics& metrics,
                                const Box& domain, CodsConfig config)
     : cluster_(&cluster),
@@ -177,17 +192,9 @@ std::vector<WorkflowServer::TaskFailure> WorkflowServer::execute_wave(
     cores.push_back(loc);
   }
   Runtime runtime(*cluster_, *metrics_, options.cost);
-  if (options.fault != nullptr) {
-    runtime.set_fault(options.fault, options.retry);
-  }
-  runtime.set_transfer_log(options.transfer_log);
-  runtime.set_exec_mode(options.exec_mode);
-  runtime.set_exec_pool_size(options.exec_pool_size);
-  runtime.set_sim_stack_bytes(options.sim_stack_bytes);
-  runtime.set_sim_ready_queue(options.sim_ready_queue);
+  configure_runtime(runtime, options);
   const auto failures = runtime.run_collect(cores, [&](RankCtx& ctx) {
     const TaskId task = tasks[static_cast<size_t>(ctx.global_rank)];
-    const RegisteredApp& reg = app(task.app_id);
     // One trace track per (wave, attempt, rank): ids and virtual clocks
     // are then independent of thread scheduling, and a failover re-run
     // does not collide with the first attempt's spans.
@@ -204,19 +211,9 @@ std::vector<WorkflowServer::TaskFailure> WorkflowServer::execute_wave(
                          pack_task_detail(task.app_id, task.rank));
     // Color by app id, order by task rank: the paper's dynamic grouping.
     Comm comm = ctx.world.split(task.app_id, task.rank);
-    comm.set_app_id(task.app_id);
     CODS_CHECK(comm.valid() && comm.rank() == task.rank,
                "task rank does not match communicator rank");
-    CodsClient cods(space_,
-                    Endpoint{cluster_->global_core(ctx.loc), ctx.loc},
-                    task.app_id);
-    AppCtx app_ctx;
-    app_ctx.spec = &reg.spec;
-    app_ctx.task = task;
-    app_ctx.comm = comm;
-    app_ctx.cods = &cods;
-    app_ctx.cluster = cluster_;
-    reg.fn(app_ctx);
+    invoke_app(task, ctx, std::move(comm));
   });
   if (options.exec_mode == ExecMode::kSimulate) {
     accumulate_sim_stats(runtime.last_sim_stats());
@@ -237,6 +234,21 @@ std::vector<WorkflowServer::TaskFailure> WorkflowServer::execute_wave(
         TaskFailure{tasks[static_cast<size_t>(f.global_rank)], f.error});
   }
   return out;
+}
+
+void WorkflowServer::invoke_app(const TaskId& task, const RankCtx& ctx,
+                                Comm comm) {
+  const RegisteredApp& reg = app(task.app_id);
+  comm.set_app_id(task.app_id);
+  CodsClient cods(space_, Endpoint{cluster_->global_core(ctx.loc), ctx.loc},
+                  task.app_id);
+  AppCtx app_ctx;
+  app_ctx.spec = &reg.spec;
+  app_ctx.task = task;
+  app_ctx.comm = std::move(comm);
+  app_ctx.cods = &cods;
+  app_ctx.cluster = cluster_;
+  reg.fn(app_ctx);
 }
 
 void WorkflowServer::accumulate_sim_stats(const SimStats& wave) {
@@ -291,39 +303,20 @@ void WorkflowServer::mitigate_stragglers(
         break;
       }
     }
-    Runtime runtime(*cluster_, *metrics_, options.cost);
-    if (options.fault != nullptr) {
-      runtime.set_fault(options.fault, options.retry);
-    }
-    runtime.set_transfer_log(options.transfer_log);
     // The copy's world has one rank, but the caller's exec mode still
-    // governs: kSimulate must never fall back to a live thread (its
-    // cross-mode guarantees cover speculation), and a one-rank pool
-    // costs the same as a dedicated thread.
-    runtime.set_exec_mode(options.exec_mode);
-    runtime.set_sim_stack_bytes(options.sim_stack_bytes);
-    runtime.set_sim_ready_queue(options.sim_ready_queue);
+    // governs: kSimulate's cross-mode guarantees cover speculation.
+    Runtime runtime(*cluster_, *metrics_, options.cost);
+    configure_runtime(runtime, options);
     space_.set_speculation(true);
     const std::vector<CoreLoc> cores{CoreLoc{target, 0}};
     const TaskId spec_task = task;
     const auto spec_failures = runtime.run_collect(cores, [&](RankCtx& ctx) {
-      const RegisteredApp& reg = app(spec_task.app_id);
       ScopedSpan task_span(SpanCategory::kTask, 0,
                            pack_task_detail(spec_task.app_id, spec_task.rank));
       // The copy's world has exactly one rank, so comm.rank() is 0 even
       // when spec_task.rank is not — the subroutine must key off ctx.task.
-      Comm comm = ctx.world.split(spec_task.app_id, spec_task.rank);
-      comm.set_app_id(spec_task.app_id);
-      CodsClient cods(space_,
-                      Endpoint{cluster_->global_core(ctx.loc), ctx.loc},
-                      spec_task.app_id);
-      AppCtx app_ctx;
-      app_ctx.spec = &reg.spec;
-      app_ctx.task = spec_task;
-      app_ctx.comm = comm;
-      app_ctx.cods = &cods;
-      app_ctx.cluster = cluster_;
-      reg.fn(app_ctx);
+      invoke_app(spec_task, ctx,
+                 ctx.world.split(spec_task.app_id, spec_task.rank));
     });
     space_.set_speculation(false);
     if (options.exec_mode == ExecMode::kSimulate) {

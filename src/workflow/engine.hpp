@@ -54,8 +54,7 @@ struct WorkflowOptions {
   /// point-to-point sends land in one reconcilable log.
   TransferLog* transfer_log = nullptr;
   /// Rank dispatch for every wave (docs/PERF.md "Enactment scaling").
-  /// kPooled runs ranks on a bounded work-stealing pool; kThreadPerRank
-  /// restores the legacy one-thread-per-rank dispatch; kSimulate enacts
+  /// kPooled runs ranks on a bounded work-stealing pool; kSimulate enacts
   /// ranks as discrete events on one thread (docs/SIMULATION.md). All
   /// observable outputs (traces, ledgers, failure handling) are
   /// identical — the cross-mode equivalence suites pin this. Applies to
@@ -65,15 +64,6 @@ struct WorkflowOptions {
   /// Worker cap for kPooled; <= 0 selects the hardware-concurrency
   /// default. Also sizes the mapping-stage DHT lookup parallel-for.
   i32 exec_pool_size = 0;
-  /// Per-fiber stack bytes for kSimulate; <= 0 selects
-  /// SimEngine::kDefaultStackBytes. A memory/depth trade-off knob for
-  /// 100k-rank enactments.
-  i64 sim_stack_bytes = 0;
-  /// Ready-structure for kSimulate's event loop. kCalendar (default) is
-  /// the O(1)-amortized calendar queue; kBinaryHeap retains the original
-  /// heap as an equivalence oracle. Pop order — and therefore every
-  /// observable output — is identical between the two.
-  SimReadyQueue sim_ready_queue = SimReadyQueue::kCalendar;
   /// Health subsystem (docs/FAULT_MODEL.md "Failure detection"): when
   /// `fault` is set the engine learns of node deaths exclusively through
   /// a heartbeat-driven phi-accrual detector configured here — it never
@@ -161,6 +151,9 @@ class WorkflowServer {
       const Placement& placement, const WorkflowOptions& options,
       i32 wave_index, i32 attempt, u64 wave_span_id, double wave_start,
       std::vector<std::pair<TaskId, double>>* task_times = nullptr);
+  /// Runs `task`'s registered subroutine on the calling rank with `comm`
+  /// as its per-application communicator.
+  void invoke_app(const TaskId& task, const RankCtx& ctx, Comm comm);
   void mitigate_stragglers(
       const std::vector<std::pair<TaskId, double>>& task_times,
       const Placement& placement, const WorkflowOptions& options,

@@ -60,21 +60,6 @@ TEST(TransferLog, SummaryGroupsByAppClassTransport) {
             std::string::npos);
 }
 
-TEST(TransferLog, ChromeTraceIsWellFormedJson) {
-  TransferLog log;
-  log.record(make_record(0, 1, 4096, true));
-  log.record(make_record(2, 1, 8192, true));
-  const std::string json = log.to_chrome_trace();
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"bytes\":4096"), std::string::npos);
-  // Two events on node 1's timeline: the second starts after the first.
-  const size_t first_ts = json.find("\"ts\":0");
-  EXPECT_NE(first_ts, std::string::npos);
-}
-
 TEST(TransferLog, ThreadSafeRecording) {
   TransferLog log;
   std::vector<std::thread> threads;

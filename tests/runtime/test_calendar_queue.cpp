@@ -1,11 +1,10 @@
 // Seeded property suite for the calendar-queue ready structure
-// (runtime/calendar_queue.hpp): pop order must match the binary-heap
+// (runtime/calendar_queue.hpp): pop order must match a std::priority_queue
 // oracle *exactly* — pop for pop, over random interleavings of pushes
 // and pops, monotone and bursty vtime distributions, and sizes that
-// cross every resize threshold. The simulate engine's cross-mode
-// equivalence guarantees (docs/SIMULATION.md) reduce to this property:
-// both ready structures realize the same strict (vtime, seq) order, so
-// kCalendar and kBinaryHeap produce identical schedules.
+// cross every resize threshold. The calendar queue must realize the
+// heap's strict (vtime, seq) order, so the simulate engine's schedules
+// (docs/SIMULATION.md) are the ones a plain binary heap would produce.
 
 #include "runtime/calendar_queue.hpp"
 

@@ -1,7 +1,7 @@
 // Work-stealing executor tests (docs/PERF.md "Enactment scaling"): task
 // coverage, bounded thread counts, blocking-aware escalation under
 // mailbox receives, collectives and lock-service waits, and failure
-// ordering identical to the legacy thread-per-rank dispatch.
+// ordering identical under kPooled and kSimulate.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -192,39 +192,54 @@ std::vector<RankFailure> run_failing_ranks(ExecMode mode) {
   });
 }
 
-TEST(PooledRuntime, FailureOrderingMatchesThreadPerRank) {
-  const auto pooled = run_failing_ranks(ExecMode::kPooled);
-  const auto legacy = run_failing_ranks(ExecMode::kThreadPerRank);
-  ASSERT_EQ(pooled.size(), legacy.size());
-  ASSERT_FALSE(pooled.empty());
-  for (size_t i = 0; i < pooled.size(); ++i) {
-    EXPECT_EQ(pooled[i].global_rank, legacy[i].global_rank);
-    std::string pooled_what;
-    std::string legacy_what;
-    try {
-      std::rethrow_exception(pooled[i].error);
-    } catch (const std::exception& e) {
-      pooled_what = e.what();
+TEST(PooledRuntime, FailureOrderingIsByRankInEveryMode) {
+  std::vector<i32> want_ranks;
+  for (i32 r = 3; r < 64; r += 7) want_ranks.push_back(r);
+  for (const ExecMode mode : {ExecMode::kPooled, ExecMode::kSimulate}) {
+    SCOPED_TRACE(mode == ExecMode::kPooled ? "kPooled" : "kSimulate");
+    const auto failures = run_failing_ranks(mode);
+    std::vector<i32> ranks;
+    for (const RankFailure& f : failures) {
+      ranks.push_back(f.global_rank);
+      try {
+        std::rethrow_exception(f.error);
+      } catch (const std::exception& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "rank " + std::to_string(f.global_rank));
+      }
     }
-    try {
-      std::rethrow_exception(legacy[i].error);
-    } catch (const std::exception& e) {
-      legacy_what = e.what();
-    }
-    EXPECT_EQ(pooled_what, legacy_what);
+    EXPECT_EQ(ranks, want_ranks);
   }
 }
 
-TEST(PooledRuntime, LegacyModeReportsThreadPerRankStats) {
+TEST(PooledRuntime, ExecStatsDescribeTheLastDispatch) {
+  // One Runtime switched between its two dispatchers: the stats always
+  // describe the run that just finished, never a mix of modes.
   Cluster cluster(ClusterSpec{.num_nodes = 1, .cores_per_node = 16});
   Metrics metrics;
   Runtime runtime(cluster, metrics);
-  runtime.set_exec_mode(ExecMode::kThreadPerRank);
-  const auto failures =
-      runtime.run_collect(grid_placement(cluster, 16), [](RankCtx&) {});
-  EXPECT_TRUE(failures.empty());
-  EXPECT_EQ(runtime.last_exec_stats().total_spawned, 16);
-  EXPECT_EQ(runtime.last_exec_stats().peak_live, 16);
+  runtime.set_exec_pool_size(4);
+  const auto placement = grid_placement(cluster, 16);
+  const auto noop = [](RankCtx&) {};
+
+  runtime.set_exec_mode(ExecMode::kPooled);
+  EXPECT_TRUE(runtime.run_collect(placement, noop).empty());
+  EXPECT_EQ(runtime.last_exec_stats().pool_size, 4);
+  EXPECT_GE(runtime.last_exec_stats().total_spawned, 1);
+  EXPECT_EQ(runtime.last_sim_stats().fibers, 0);
+
+  runtime.set_exec_mode(ExecMode::kSimulate);
+  EXPECT_TRUE(runtime.run_collect(placement, noop).empty());
+  EXPECT_EQ(runtime.last_exec_stats().pool_size, 1);
+  EXPECT_EQ(runtime.last_exec_stats().total_spawned, 0);
+  EXPECT_EQ(runtime.last_exec_stats().peak_live, 1);
+  EXPECT_EQ(runtime.last_sim_stats().fibers, 16);
+
+  runtime.set_exec_mode(ExecMode::kPooled);
+  EXPECT_TRUE(runtime.run_collect(placement, noop).empty());
+  EXPECT_EQ(runtime.last_exec_stats().pool_size, 4);
+  EXPECT_GE(runtime.last_exec_stats().total_spawned, 1);
+  EXPECT_EQ(runtime.last_sim_stats().fibers, 0);
 }
 
 }  // namespace

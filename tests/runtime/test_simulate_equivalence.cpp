@@ -85,6 +85,26 @@ TEST(SimEngine, RendezvousWakesWaitersInFifoOrder) {
   EXPECT_GE(stats.notifies, 1u);
 }
 
+TEST(SimEngine, EveryStackHasTheDefaultSize) {
+  // The engine has no stack-size knob: each carved stack is exactly
+  // kDefaultStackBytes, and co-resident fibers each hold one.
+  constexpr i32 kN = 8;
+  Mutex mu{"test.sim_stack_size"};
+  CondVar cv;
+  i32 arrived = 0;
+  SimEngine sim;
+  sim.run(kN, [&](i32) {
+    MutexLock lock(mu);
+    if (++arrived == kN) cv.notify_all();
+    while (arrived < kN) cv.wait(lock);
+  });
+  const SimStats& stats = sim.stats();
+  EXPECT_EQ(stats.stacks, kN);
+  EXPECT_EQ(stats.arena_bytes,
+            static_cast<u64>(kN) *
+                static_cast<u64>(SimEngine::kDefaultStackBytes));
+}
+
 TEST(SimEngine, VirtualDeadlineFiresOnlyAtQuiescence) {
   // A one-hour timed wait resolves instantly — but only after every
   // runnable fiber has drained, mirroring live execution where a timeout
@@ -275,7 +295,7 @@ TEST(SimulateRuntime, RingPipelineMatchesPooled) {
 
 TEST(SimulateRuntime, SingleRankHonorsSimulateMode) {
   // Regression for the engine's old one-rank fast path that silently
-  // forced kThreadPerRank: a single rank must still run as a fiber.
+  // forced a dedicated thread: a single rank must still run as a fiber.
   Cluster cluster(ClusterSpec{.num_nodes = 1, .cores_per_node = 4});
   Metrics metrics;
   Runtime runtime(cluster, metrics);
@@ -509,7 +529,7 @@ TEST(SimulateEquivalence, FaultInjectedTopologies) {
 
 /// Straggler speculation: a 50x slowdown on node 0 makes its tasks
 /// stragglers, and speculation re-executes them — through the same
-/// one-rank enactment path that once hardcoded kThreadPerRank.
+/// one-rank enactment path that once hardcoded a dedicated thread.
 TEST(SimulateEquivalence, SpeculationTopology) {
   wfgen::ScenarioSpec spec;
   spec.seed = 41;
@@ -550,7 +570,7 @@ TEST(SimulateEquivalence, SpeculationTopology) {
   expect_equivalent(spec);
 }
 
-/// Engine-level single-rank workflow: one app, one task, every mode —
+/// Engine-level single-rank workflow: one app, one task, both modes —
 /// the ledgers must agree (regression companion to the runtime-level
 /// SingleRankHonorsSimulateMode pin).
 TEST(SimulateEquivalence, SingleRankWorkflowIdenticalAcrossModes) {
@@ -573,9 +593,6 @@ TEST(SimulateEquivalence, SingleRankWorkflowIdenticalAcrossModes) {
   const wfgen::EnactResult pooled =
       wfgen::enact(spec, {.mode = ExecMode::kPooled});
   EXPECT_GT(pooled.stored_bytes, 0u);
-  const wfgen::EnactResult legacy =
-      wfgen::enact(spec, {.mode = ExecMode::kThreadPerRank});
-  EXPECT_EQ(wfgen::diff_runs(pooled, legacy), "");
   const wfgen::EnactResult sim =
       wfgen::enact(spec, {.mode = ExecMode::kSimulate});
   EXPECT_EQ(wfgen::diff_runs(pooled, sim), "");
