@@ -1,7 +1,7 @@
 // Hot-path microbenchmarks (docs/PERF.md): sharded vs single-mutex
 // metrics recording under concurrent ranks, interned vs string counter
 // ids, the client DHT lookup cache on repeated retrievals, and
-// small-transfer batching in HybridDART's pull path.
+// HybridDART's pull path over many small windows.
 //
 //   build/bench/micro_hotpath --benchmark_counters_tabular=true
 //
@@ -142,9 +142,8 @@ BENCHMARK(BM_RepeatedGetSeq)->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMicrosecond);
 
 // --------------------------------------------------------------------------
-// Small-transfer batching: 512 sub-threshold pulls over 16 routes.
-// Modelled times are identical (cost model sums bytes per route); the
-// benchmark shows the host-side cost of walking 512 vs 16 flows.
+// Small pulls: one batch of 512 1 KiB ops over 16 routes — the host-side
+// cost of the gather plus one cost-model walk of 512 flows.
 // --------------------------------------------------------------------------
 
 struct PullBenchState {
@@ -169,7 +168,7 @@ struct PullBenchState {
       op.local = Endpoint{consumer_id, consumer_loc};
       op.remote = Endpoint{p, CoreLoc{p / 4, p % 4}};
       op.key = 1;
-      op.bytes = 1024;  // well below the 64 KiB threshold
+      op.bytes = 1024;
       op.app_id = 2;
       ops.push_back(op);
     }
@@ -178,19 +177,15 @@ struct PullBenchState {
 
 void BM_PullSmallWindows(benchmark::State& state) {
   static PullBenchState s;
-  s.dart.set_batch_threshold(static_cast<u64>(state.range(0)));
   double modelled = 0.0;
   for (auto _ : state) {
     modelled = s.dart.pull(s.ops);
     benchmark::DoNotOptimize(modelled);
   }
-  s.dart.set_batch_threshold(0);
-  state.SetLabel(state.range(0) == 0 ? "unbatched" : "batched-64KiB");
   state.counters["modelled_s"] = modelled;
   state.SetItemsProcessed(state.iterations() * 512);
 }
-BENCHMARK(BM_PullSmallWindows)->Arg(0)->Arg(64 * 1024)
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_PullSmallWindows)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -30,13 +30,6 @@
 
 namespace cods {
 
-struct CodsConfig {
-  CurveKind curve = CurveKind::kHilbert;
-  /// Coarsening for DHT query routing (see CodsDht); 0 = exact spans.
-  int dht_granularity_log2 = 0;
-  CostParams cost;
-};
-
 /// Outcome of a put operation.
 struct PutResult {
   double model_time = 0.0;  ///< modelled completion time
@@ -81,11 +74,12 @@ struct GetResult {
 };
 
 /// The shared space. One instance per workflow run; shared by all
-/// execution clients. Thread-safe.
+/// execution clients. Thread-safe. The DHT indexes the domain along a
+/// Hilbert curve at exact-span granularity; transfers are priced by the
+/// default fabric (CostParams{}).
 class CodsSpace {
  public:
-  CodsSpace(const Cluster& cluster, Metrics& metrics, const Box& domain,
-            CodsConfig config = {});
+  CodsSpace(const Cluster& cluster, Metrics& metrics, const Box& domain);
 
   const Cluster& cluster() const { return *cluster_; }
   HybridDart& dart() { return dart_; }
@@ -214,7 +208,6 @@ class CodsSpace {
   /// already exists replaces the stored bytes instead of throwing, so
   /// re-executed tasks idempotently re-produce their outputs.
   void set_reexecution(bool on) { reexec_.store(on); }
-  bool reexecution() const { return reexec_.load(); }
 
   /// Speculation mode (straggler mitigation): a put whose (var, version,
   /// box) already exists *keeps the original* — first completion wins —
@@ -337,7 +330,6 @@ class CodsClient {
 
   /// Communication-schedule cache management (ablation hook).
   void set_schedule_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
-  void clear_schedule_cache() { cache_.clear(); }
   size_t schedule_cache_size() const { return cache_.size(); }
 
   /// DHT lookup cache management (docs/PERF.md): caches query results per
@@ -348,7 +340,6 @@ class CodsClient {
   void set_lookup_cache_enabled(bool enabled) {
     lookup_cache_enabled_ = enabled;
   }
-  void clear_lookup_cache() { lookup_cache_.clear(); }
   size_t lookup_cache_size() const { return lookup_cache_.size(); }
 
  private:

@@ -13,10 +13,9 @@ struct DimAdjacency {
   std::vector<std::vector<std::pair<i32, i64>>> adj;
 };
 
-/// Reference build: every (ra, rb) pair, closed-form overlap count per
-/// src segment. O(pa * pb * segs-per-proc); kept as the oracle for the
-/// sweep (tests/geometry/test_redistribution_sweep.cpp) and as the
-/// better choice when one side has few procs but many segments.
+/// All-pairs build: every (ra, rb) pair, closed-form overlap count per
+/// src segment. O(pa * pb * segs-per-proc); the better choice when one
+/// side has few procs but many segments (see dim_adjacency).
 DimAdjacency dim_adjacency_allpairs(const Decomposition& src,
                                     const Decomposition& dst, int d, i64 lo,
                                     i64 hi) {
@@ -196,23 +195,6 @@ std::vector<TransferVolume> redistribution_volumes(
   per_dim.reserve(static_cast<size_t>(nd));
   for (int d = 0; d < nd; ++d) {
     per_dim.push_back(dim_adjacency(src, dst, d, window.lb[d], window.ub[d]));
-  }
-  return volumes_from_adjacency(per_dim, src, dst);
-}
-
-std::vector<TransferVolume> redistribution_volumes_allpairs(
-    const Decomposition& src, const Decomposition& dst,
-    const std::optional<Box>& region) {
-  CODS_REQUIRE(src.ndim() == dst.ndim(),
-               "coupled decompositions must share dimensionality");
-  const int nd = src.ndim();
-  const Box window = region ? *region : src.domain_box();
-  CODS_REQUIRE(window.ndim() == nd, "region dimensionality mismatch");
-  std::vector<DimAdjacency> per_dim;
-  per_dim.reserve(static_cast<size_t>(nd));
-  for (int d = 0; d < nd; ++d) {
-    per_dim.push_back(
-        dim_adjacency_allpairs(src, dst, d, window.lb[d], window.ub[d]));
   }
   return volumes_from_adjacency(per_dim, src, dst);
 }

@@ -14,10 +14,7 @@ HealthMonitor::HealthMonitor(HealthConfig config, FaultInjector& injector,
       heartbeats_id_(dart.metrics().intern("health.heartbeats")),
       dropped_id_(dart.metrics().intern("health.heartbeats_dropped")),
       rounds_id_(dart.metrics().intern("health.detection_rounds")),
-      latency_id_(dart.metrics().intern("health.detection_latency")) {
-  CODS_REQUIRE(config_.max_detection_rounds >= 1,
-               "detection needs a round budget of at least 1");
-}
+      latency_id_(dart.metrics().intern("health.detection_latency")) {}
 
 void HealthMonitor::sweep_round() {
   const double period = config_.detector.heartbeat_period;
@@ -60,7 +57,7 @@ std::vector<i32> HealthMonitor::run_detection() {
   std::vector<i32> newly;
   i32 rounds = 0;
   last_latency_ = 0.0;
-  while (rounds < config_.max_detection_rounds) {
+  while (rounds < kMaxDetectionRounds) {
     sweep_round();
     ++rounds;
     for (i32 node = 0; node < detector_.num_nodes(); ++node) {
@@ -103,8 +100,7 @@ void HealthMonitor::settle() {
   if (!detector_.unsettled()) return;
   ScopedSpan span(SpanCategory::kHealth, 0, 0);
   const double start = now_;
-  for (i32 r = 0; r < config_.max_detection_rounds && detector_.unsettled();
-       ++r) {
+  for (i32 r = 0; r < kMaxDetectionRounds && detector_.unsettled(); ++r) {
     sweep_round();
   }
   span.close(now_ - start);

@@ -412,7 +412,7 @@ std::vector<RankFailure> Runtime::run_collect(
     ctx.world.members_ = members;
     // Each rank carries a modelled-time clock: the transport layers
     // advance it per operation, and the totals feed straggler detection.
-    TaskClock::install(task_deadline_);
+    TaskClock::install();
     try {
       body(ctx);
     } catch (...) {

@@ -167,10 +167,10 @@ struct RankFailure {
 /// The runtime: dispatches ranks per ExecMode and owns their mailboxes.
 class Runtime {
  public:
-  Runtime(const Cluster& cluster, Metrics& metrics, CostParams params = {})
+  Runtime(const Cluster& cluster, Metrics& metrics)
       : cluster_(&cluster),
         metrics_(&metrics),
-        model_(cluster, params),
+        model_(cluster),
         fault_retries_id_(metrics.intern("fault.retries")),
         fault_exhausted_id_(metrics.intern("fault.exhausted")),
         fault_backoff_id_(metrics.intern("fault.backoff")) {}
@@ -260,11 +260,6 @@ class Runtime {
   /// run()/run_collect(); zeroed by kPooled.
   const SimStats& last_sim_stats() const { return last_sim_stats_; }
 
-  /// Per-task deadline in modelled seconds installed into every rank's
-  /// TaskClock (src/health/task_clock.hpp); 0 = none. Set between waves.
-  void set_task_deadline(double deadline) { task_deadline_ = deadline; }
-  double task_deadline() const { return task_deadline_; }
-
   /// Modelled seconds each rank of the most recent run()/run_collect()
   /// accumulated on its TaskClock, indexed by global rank — the health
   /// layer's straggler-detection input.
@@ -323,7 +318,6 @@ class Runtime {
   i32 exec_pool_size_ = 0;  ///< <= 0: default_pool_size()
   ExecutorStats last_exec_stats_;
   SimStats last_sim_stats_;
-  double task_deadline_ = 0.0;  ///< set between waves (see set_task_deadline)
   // Written per-rank into disjoint slots while ranks run; read after join.
   std::vector<double> last_task_times_;
 };

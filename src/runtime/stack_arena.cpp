@@ -90,13 +90,12 @@ std::byte* StackArena::acquire() {
   Slab& slab = slabs_.back();
   std::byte* slot = slab.base + slab.carved * slot_bytes_;
   std::byte* stack = slot + page_bytes_;  // skip the guard page
-  if (slab.guarded) {
 #if defined(CODS_ARENA_MMAP)
+  if (slab.guarded) {
     CODS_CHECK(mprotect(stack, stack_bytes_, PROT_READ | PROT_WRITE) == 0,
                "stack arena: mprotect failed");
-#endif
-    ++guarded_slots_;
   }
+#endif
   ++slab.carved;
   ++slots_;
   return stack;

@@ -69,10 +69,6 @@ class StackArena {
     return static_cast<u64>(slots_) * stack_bytes_;
   }
 
-  /// Carved slots with a hardware guard page below them (the rest rely
-  /// on slot spacing alone). Exposed for tests.
-  i32 guarded_slots() const { return guarded_slots_; }
-
  private:
   struct Slab {
     std::byte* base = nullptr;
@@ -103,7 +99,6 @@ class StackArena {
   std::vector<Slab> slabs_;
   std::vector<std::byte*> free_;
   i32 slots_ = 0;
-  i32 guarded_slots_ = 0;
 };
 
 }  // namespace cods

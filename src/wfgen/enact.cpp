@@ -107,7 +107,7 @@ EnactResult enact(const ScenarioSpec& spec, const EnactOptions& options) {
   wf.trace = &trace;
   wf.exec_mode = options.mode;
   wf.exec_pool_size = options.exec_pool_size;
-  if (options.journal) wf.transfer_log = &journal;
+  wf.transfer_log = &journal;
   if (spec.faulty) {
     wf.fault = &injector;
     // Transient loss rates up to 5% per op: give retries headroom so a
@@ -149,10 +149,8 @@ EnactResult enact(const ScenarioSpec& spec, const EnactOptions& options) {
   out.mismatches = mismatches->load();
   for (const auto& [id, rows] : moments) out.moments[id] = *rows;
   for (const auto& [id, rows] : histograms) out.histograms[id] = *rows;
-  if (options.journal) {
-    out.journal = journal.snapshot();
-    out.journal_dropped = journal.dropped();
-  }
+  out.journal = journal.snapshot();
+  out.journal_dropped = journal.dropped();
   const auto dead = injector.dead_nodes();
   out.dead_nodes.assign(dead.begin(), dead.end());
   out.heartbeats = metrics.count(0, "health.heartbeats");

@@ -26,10 +26,8 @@ void configure_runtime(Runtime& runtime, const WorkflowOptions& options) {
 }  // namespace
 
 WorkflowServer::WorkflowServer(const Cluster& cluster, Metrics& metrics,
-                               const Box& domain, CodsConfig config)
-    : cluster_(&cluster),
-      metrics_(&metrics),
-      space_(cluster, metrics, domain, config) {}
+                               const Box& domain)
+    : cluster_(&cluster), metrics_(&metrics), space_(cluster, metrics, domain) {}
 
 void WorkflowServer::register_app(AppSpec spec, AppFn fn,
                                   std::string consumes_var,
@@ -191,7 +189,7 @@ std::vector<WorkflowServer::TaskFailure> WorkflowServer::execute_wave(
     tasks.push_back(task);
     cores.push_back(loc);
   }
-  Runtime runtime(*cluster_, *metrics_, options.cost);
+  Runtime runtime(*cluster_, *metrics_);
   configure_runtime(runtime, options);
   const auto failures = runtime.run_collect(cores, [&](RankCtx& ctx) {
     const TaskId task = tasks[static_cast<size_t>(ctx.global_rank)];
@@ -282,7 +280,7 @@ void WorkflowServer::mitigate_stragglers(
   std::sort(sorted.begin(), sorted.end());
   const double median = sorted[sorted.size() / 2];
   if (median <= 0.0) return;
-  const double deadline = options.health.straggler_multiplier * median;
+  const double deadline = kStragglerMultiplier * median;
   for (const auto& [task, time] : task_times) {
     if (time <= deadline) continue;
     ++report.straggler_tasks;
@@ -305,7 +303,7 @@ void WorkflowServer::mitigate_stragglers(
     }
     // The copy's world has one rank, but the caller's exec mode still
     // governs: kSimulate's cross-mode guarantees cover speculation.
-    Runtime runtime(*cluster_, *metrics_, options.cost);
+    Runtime runtime(*cluster_, *metrics_);
     configure_runtime(runtime, options);
     space_.set_speculation(true);
     const std::vector<CoreLoc> cores{CoreLoc{target, 0}};
@@ -361,7 +359,6 @@ void WorkflowServer::run(const DagSpec& dag, WorkflowOptions options) {
   placements_.clear();
   sim_stats_ = SimStats{};
   space_.set_reexecution(false);
-  space_.dart().set_batch_threshold(options.dart_batch_threshold);
   if (options.transfer_log != nullptr) {
     // Only attach when the caller provided a journal: tests that hook a
     // log directly onto the transport must keep it across run().
@@ -446,7 +443,6 @@ void WorkflowServer::run(const DagSpec& dag, WorkflowOptions options) {
                                        static_cast<u32>(wave_index));
     }
 
-    std::vector<std::vector<i32>> to_run = wave;
     std::vector<std::pair<TaskId, double>> task_times;
     for (;;) {
       const auto failures =
@@ -497,7 +493,6 @@ void WorkflowServer::run(const DagSpec& dag, WorkflowOptions options) {
       //    holes, so objects that survived the failure are untouched.
       snapshot.clear();
       snapshot.seekg(0);
-      const std::set<i32> lost(newly_dead.begin(), newly_dead.end());
       size_t cursor = 0;
       const u64 recovered =
           space_.restore_lost(snapshot, [&](i32) -> std::optional<i32> {
@@ -508,31 +503,14 @@ void WorkflowServer::run(const DagSpec& dag, WorkflowOptions options) {
       metrics_->add_count(0, "fault.failovers",
                           static_cast<u64>(newly_dead.size()));
 
-      // 3. Re-execute every affected bundle: a bundle is affected if any of
-      //    its tasks failed or was placed on a node that died.
-      std::set<i32> affected;
-      for (const TaskFailure& f : failures) affected.insert(f.task.app_id);
-      for (const auto& [task, loc] : placement.all()) {
-        if (lost.contains(loc.node)) affected.insert(task.app_id);
-      }
-      std::vector<std::vector<i32>> rerun;
-      for (const auto& bundle : to_run) {
-        if (std::any_of(bundle.begin(), bundle.end(), [&](i32 app_id) {
-              return affected.contains(app_id);
-            })) {
-          rerun.push_back(bundle);
-        }
-      }
-      CODS_CHECK(!rerun.empty(), "wave failed without an affected bundle");
-      to_run = std::move(rerun);
-
-      // 4. Re-map the affected bundles over the healthy survivors and
-      //    re-run with idempotent puts (outputs of the failed attempt are
-      //    replaced).
+      // 3. Re-map the whole wave over the healthy survivors and re-run it
+      //    with idempotent puts (outputs of the failed attempt are
+      //    replaced). Every bundle moves: a bundle kept in place could hold
+      //    cores the re-mapped ones are given.
       WaveReport remap_report;  // mapping stats of the retry are not kept
-      placement = map_wave(to_run, options, remap_report, rehome);
+      placement = map_wave(wave, options, remap_report, rehome);
       CODS_CHECK(placement.valid(*cluster_), "failover placement is invalid");
-      record_placements(to_run, placement);
+      record_placements(wave, placement);
       report.reexecuted_tasks += static_cast<i32>(placement.size());
       space_.set_reexecution(true);
     }

@@ -34,16 +34,11 @@ using AppFn = std::function<void(AppCtx&)>;
 struct WorkflowOptions {
   MappingStrategy strategy = MappingStrategy::kDataCentric;
   u64 seed = 1;
-  CostParams cost;
   /// Optional fault injector (docs/FAULT_MODEL.md). When set, transfers
   /// and sends consult it, waves are checkpointed for recovery, and node
   /// deaths trigger failover + re-execution per `retry`.
   FaultInjector* fault = nullptr;
   RetryPolicy retry;
-  /// Small-transfer batching threshold forwarded to the transport
-  /// (HybridDart::set_batch_threshold, docs/PERF.md). 0 disables. Byte
-  /// accounting and modelled times are invariant under this knob.
-  u64 dart_batch_threshold = 0;
   /// Optional structured-event tracing (docs/TRACING.md). When set, the
   /// engine opens one span per wave and per task and every instrumented
   /// layer (dart, runtime, cods client, lock service, redistribution)
@@ -67,9 +62,8 @@ struct WorkflowOptions {
   /// Health subsystem (docs/FAULT_MODEL.md "Failure detection"): when
   /// `fault` is set the engine learns of node deaths exclusively through
   /// a heartbeat-driven phi-accrual detector configured here — it never
-  /// reads the injector's crash schedule. Also carries the straggler
-  /// deadline multiplier, the speculation opt-in and the CodsSpace byte
-  /// watermarks.
+  /// reads the injector's crash schedule. Also carries the speculation
+  /// opt-in and the CodsSpace byte watermarks.
   HealthConfig health;
 };
 
@@ -96,8 +90,7 @@ struct WaveReport {
 
 class WorkflowServer {
  public:
-  WorkflowServer(const Cluster& cluster, Metrics& metrics, const Box& domain,
-                 CodsConfig config = {});
+  WorkflowServer(const Cluster& cluster, Metrics& metrics, const Box& domain);
 
   /// Registers an application: its spec, the subroutine to run, and —
   /// for sequentially coupled consumers — the variable/version whose

@@ -19,6 +19,16 @@ using testing::expect_oracles;
 constexpr u64 kDefaultBase = 91000;
 constexpr i32 kDefaultCount = 120;
 
+// Failover regressions, generated with GenParams::p_fault = 1.0: each
+// loses a node in a wave of several bundles. While failover re-mapped
+// only the affected bundles, the re-mapped tasks landed on cores the
+// untouched bundles kept, and the schedule oracle reported "merged
+// placement is invalid". The sweep enacts them after its seed range,
+// whatever the environment selects.
+constexpr u64 kFailoverSeeds[] = {273,  355,  683,  1076, 1441,
+                                  1945, 2457, 2510, 2613, 2667,
+                                  2770, 3303, 3323, 3787, 3925};
+
 TEST(FuzzOracles, GeneratedScenariosSatisfyAllInvariants) {
   const u64 base = testing::fuzz_base_seed(kDefaultBase);
   const i32 count = testing::fuzz_count(kDefaultCount);
@@ -40,6 +50,16 @@ TEST(FuzzOracles, GeneratedScenariosSatisfyAllInvariants) {
     EXPECT_EQ(seen.size(), 4u) << "sweep missed a topology";
     EXPECT_GT(faulty, 0) << "sweep never sampled a fault overlay";
     EXPECT_LT(faulty, count) << "sweep never sampled a clean scenario";
+  }
+  wfgen::GenParams all_faulty;
+  all_faulty.p_fault = 1.0;
+  for (const u64 seed : kFailoverSeeds) {
+    CODS_SEED_NOTE(seed);
+    const wfgen::ScenarioSpec spec = wfgen::generate(seed, all_faulty);
+    wfgen::EnactResult run;
+    if (!enact_checked(spec, {.mode = ExecMode::kSimulate}, run)) continue;
+    expect_oracles(spec, run, "kSimulate, p_fault=1.0");
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 

@@ -1,18 +1,21 @@
-// Property tests pinning the sweep-based redistribution build to the
-// naive all-pairs oracle: for randomized decomposition pairs the two
-// must produce *identical* transfer lists — same pairs, same cell
-// counts, same order — and the comm graph derived from them must match.
+// Property tests pinning redistribution_volumes to the all-pairs
+// overlap_boxes oracle: for randomized decomposition pairs the two must
+// produce *identical* transfer lists — same pairs, same cell counts, same
+// order — and the comm graph derived from them must match.
 #include <gtest/gtest.h>
 
 #include <tuple>
 
 #include "common/rng.hpp"
 #include "geometry/redistribution.hpp"
+#include "support/redistribution_oracle.hpp"
 #include "support/seed_report.hpp"
 #include "workflow/mapping.hpp"
 
 namespace cods {
 namespace {
+
+using testing::redistribution_volumes_allpairs;
 
 i64 uniform(Rng& rng, i64 lo, i64 hi) {
   return lo + static_cast<i64>(rng() % static_cast<u64>(hi - lo + 1));

@@ -4,6 +4,9 @@
 // identical traces.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
 #include "apps/synthetic.hpp"
 #include "workflow/engine.hpp"
 
@@ -197,6 +200,64 @@ TEST(FaultRecovery, UnrecoverableWhenAllNodesNeededDie) {
   options.retry = fast_retry();
   options.retry.max_wave_attempts = 1;
   EXPECT_THROW(server.run(dag, options), Error);
+}
+
+TEST(FaultRecovery, CrashInMultiBundleWaveRerunsWholeWave) {
+  // A producer and a bystander that touches no shared data share wave 0
+  // as separate bundles. Node 0 dies after the wave's communicator split
+  // (30 ops into kSimulate's deterministic schedule), so only the
+  // producer's puts fail and the bystander completes its first attempt.
+  // Failover still re-maps and re-runs the whole wave over the survivors
+  // — a bundle kept in its recorded placement could hold cores the
+  // re-mapped ones are given — so every task of the wave re-executes and
+  // the final placements share no core and avoid the dead node.
+  Cluster cluster(ClusterSpec{.num_nodes = 4, .cores_per_node = 4});
+  Metrics metrics;
+  WorkflowServer server(cluster, metrics, Box{{0, 0}, {15, 15}});
+  auto mismatches = std::make_shared<std::atomic<u64>>(0);
+  auto bystander_runs = std::make_shared<std::atomic<i32>>(0);
+  server.register_app(make_app(1, "producer", {16, 16}, {4, 2}),
+                      make_pattern_producer({{"field"}, 1, true, 13}));
+  server.register_app(make_app(3, "bystander", {16, 16}, {2, 2}),
+                      [bystander_runs](AppCtx&) { ++*bystander_runs; });
+  server.register_app(
+      make_app(2, "consumer", {16, 16}, {2, 2}),
+      make_pattern_consumer({{"field"}, 1, true, 13, mismatches, nullptr}),
+      /*consumes_var=*/"field");
+  DagSpec dag;
+  for (i32 app_id : {1, 2, 3}) dag.add_app(app_id);
+  dag.add_dependency(1, 2);
+
+  FaultSpec spec;
+  spec.seed = 23;
+  spec.crashes.push_back(
+      NodeCrash{/*wave=*/0, /*node=*/0, /*after_ops=*/30});
+  FaultInjector injector(spec);
+  WorkflowOptions options;
+  options.fault = &injector;
+  options.retry = fast_retry();
+  options.exec_mode = ExecMode::kSimulate;
+  server.run(dag, options);
+
+  EXPECT_EQ(mismatches->load(), 0u);
+  const auto& reports = server.wave_reports();
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(reports[0].attempts, 2);
+  EXPECT_EQ(reports[0].failed_nodes, (std::vector<i32>{0}));
+  EXPECT_EQ(reports[0].failed_tasks, 8);          // the producer only
+  EXPECT_EQ(reports[0].reexecuted_tasks, 8 + 4);  // both bundles
+  EXPECT_EQ(bystander_runs->load(), 4 + 4);
+  EXPECT_EQ(reports[1].attempts, 1);
+
+  std::set<std::pair<i32, i32>> cores;
+  for (i32 app_id : {1, 3}) {
+    for (const auto& [task, loc] : server.placement(app_id).all()) {
+      EXPECT_NE(loc.node, 0) << "app " << app_id << " rank " << task.rank;
+      EXPECT_TRUE(cores.emplace(loc.node, loc.core).second)
+          << "core (" << loc.node << ", " << loc.core << ") placed twice";
+    }
+  }
+  EXPECT_EQ(cores.size(), 8u + 4u);
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
-// Golden byte-ledger regressions (docs/PERF.md): the hot-path
-// optimisations — small-transfer batching in HybridDART and the client
-// DHT lookup cache — must be *accounting-invariant*. Scaled-down versions
-// of the paper's evaluation shapes (Fig. 8 concurrent coupling, Fig. 12
-// sequential coupling) run with the optimisations on and off; the per-app
-// payload ByteCounters, verified cell contents and injected-fault replay
-// traces must be identical. Only control-plane traffic may shrink (cache
-// hits legitimately skip query RPCs, like the schedule cache before
-// them).
+// Golden byte-ledger regressions (docs/PERF.md). Scaled-down versions of
+// the paper's evaluation shapes (Fig. 8 concurrent coupling, Fig. 12
+// sequential coupling) pin the per-app payload ByteCounters: every
+// coupled cell crosses exactly once, one ledger record per pulled
+// overlap, and the client DHT lookup cache is *accounting-invariant* —
+// with the cache on and off the payload counters, verified cell contents
+// and injected-fault replay traces are identical. Only control-plane
+// traffic may shrink (cache hits legitimately skip query RPCs, like the
+// schedule cache before them).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,14 +22,12 @@ namespace {
 
 using testing::make_app;
 
-
 /// Ledger snapshot of one workflow run: everything that must be invariant
-/// under the hot-path optimisations.
+/// under the lookup cache.
 struct Ledger {
   ByteCounters inter[4];  ///< per app id 0..3, kInterApp
   ByteCounters intra[4];  ///< per app id 0..3, kIntraApp
   u64 mismatches = 0;
-  u64 coalesced = 0;
   u64 lookup_hits = 0;
   ByteCounters control;  ///< kControl total (may differ: smaller with cache)
   std::string fault_trace;
@@ -40,7 +38,6 @@ struct Ledger {
       inter[app] = m.counters(app, TrafficClass::kInterApp);
       intra[app] = m.counters(app, TrafficClass::kIntraApp);
     }
-    coalesced = m.total_count("dart.coalesced_ops");
     lookup_hits = m.total_count("dht.lookup_hit");
     control = m.total(TrafficClass::kControl);
     retries = m.total_count("fault.retries");
@@ -57,12 +54,12 @@ void expect_payload_identical(const Ledger& on, const Ledger& off) {
 }
 
 // ---------------------------------------------------------------------------
-// Fig. 8 shape: producer + consumer bundled concurrently, coupled through
-// put_cont/get_cont, with a sequential redistribution wave behind them.
-// Batching toggled via WorkflowOptions::dart_batch_threshold.
+// Fig. 8 shapes: a producer -> consumer redistribution across waves, and a
+// producer + consumer bundled concurrently (put_cont/get_cont). Each
+// consumer pulls its region as one op per overlapping producer tile.
 // ---------------------------------------------------------------------------
 
-Ledger run_concurrent_shape(u64 batch_threshold) {
+Ledger run_redistribution_shape() {
   Cluster cluster(ClusterSpec{.num_nodes = 4, .cores_per_node = 4});
   Metrics metrics;
   WorkflowServer server(cluster, metrics, Box{{0, 0}, {15, 15}});
@@ -79,10 +76,7 @@ Ledger run_concurrent_shape(u64 batch_threshold) {
   dag.add_app(1);
   dag.add_app(2);
   dag.add_dependency(1, 2);
-
-  WorkflowOptions options;
-  options.dart_batch_threshold = batch_threshold;
-  server.run(dag, options);
+  server.run(dag);
 
   Ledger ledger;
   ledger.capture(metrics);
@@ -90,20 +84,21 @@ Ledger run_concurrent_shape(u64 batch_threshold) {
   return ledger;
 }
 
-TEST(GoldenLedger, BatchingInvariantSequentialRedistribution) {
-  // 16 producer tasks -> 4 consumer tasks: every consumer pulls several
-  // stored tiles per storage node, so sub-threshold ops share (storage
-  // core, consumer core) routes and must coalesce.
-  const Ledger off = run_concurrent_shape(0);
-  const Ledger on = run_concurrent_shape(u64{1} << 20);
-  expect_payload_identical(on, off);
-  EXPECT_EQ(off.coalesced, 0u);
-  EXPECT_GT(on.coalesced, 0u);
-  // Batching touches only the cost-model flow list, never control traffic.
-  EXPECT_EQ(on.control, off.control);
+TEST(GoldenLedger, SequentialRedistributionPullsEveryCellOnce) {
+  // 16 producer tiles of 4x4 cells -> 4 consumer tiles of 8x8. put_seq
+  // stores each tile once (app 1: 16 records per version); each consumer
+  // tile overlaps 4 stored tiles (app 2: 16 pulls per version).
+  const Ledger first = run_redistribution_shape();
+  EXPECT_EQ(first.mismatches, 0u);
+  EXPECT_EQ(first.inter[1].total(), 2u * 16u * 16u * 8u);
+  EXPECT_EQ(first.inter[1].transfers, 2u * 16u);
+  EXPECT_EQ(first.inter[2].total(), 2u * 16u * 16u * 8u);
+  EXPECT_EQ(first.inter[2].transfers, 2u * 16u);
+  // The ledger is a function of the workflow, not of the interleaving.
+  expect_payload_identical(run_redistribution_shape(), first);
 }
 
-Ledger run_bundle_shape(u64 batch_threshold) {
+Ledger run_bundle_shape() {
   Cluster cluster(ClusterSpec{.num_nodes = 4, .cores_per_node = 4});
   Metrics metrics;
   WorkflowServer server(cluster, metrics, Box{{0, 0}, {15, 15}});
@@ -119,10 +114,7 @@ Ledger run_bundle_shape(u64 batch_threshold) {
   dag.add_app(1);
   dag.add_app(2);
   dag.add_bundle({1, 2});
-
-  WorkflowOptions options;
-  options.dart_batch_threshold = batch_threshold;
-  server.run(dag, options);
+  server.run(dag);
 
   Ledger ledger;
   ledger.capture(metrics);
@@ -130,11 +122,16 @@ Ledger run_bundle_shape(u64 batch_threshold) {
   return ledger;
 }
 
-TEST(GoldenLedger, BatchingInvariantConcurrentBundle) {
-  const Ledger off = run_bundle_shape(0);
-  const Ledger on = run_bundle_shape(u64{1} << 20);
-  expect_payload_identical(on, off);
-  EXPECT_EQ(on.control, off.control);
+TEST(GoldenLedger, ConcurrentBundlePullsEveryCellOnce) {
+  // 8 producer tiles of 4x8 cells -> 4 consumer tiles of 8x8: each
+  // consumer tile overlaps 2 producer windows, so 8 pulls per version.
+  // put_cont only exposes a window: the pulls are the whole ledger.
+  const Ledger first = run_bundle_shape();
+  EXPECT_EQ(first.mismatches, 0u);
+  EXPECT_EQ(first.inter[1].total(), 0u);
+  EXPECT_EQ(first.inter[2].total(), 2u * 16u * 16u * 8u);
+  EXPECT_EQ(first.inter[2].transfers, 2u * 8u);
+  expect_payload_identical(run_bundle_shape(), first);
 }
 
 // ---------------------------------------------------------------------------
@@ -165,8 +162,7 @@ AppFn make_double_reader(std::string var, i32 nversions, u64 seed,
   };
 }
 
-Ledger run_sequential_shape(bool optimisations, FaultInjector* injector) {
-  const bool lookup_cache = optimisations;
+Ledger run_sequential_shape(bool lookup_cache, FaultInjector* injector) {
   Cluster cluster(ClusterSpec{.num_nodes = 4, .cores_per_node = 4});
   Metrics metrics;
   WorkflowServer server(cluster, metrics, Box{{0, 0}, {15, 15}});
@@ -184,7 +180,6 @@ Ledger run_sequential_shape(bool optimisations, FaultInjector* injector) {
   dag.add_dependency(1, 2);
 
   WorkflowOptions options;
-  if (optimisations) options.dart_batch_threshold = u64{1} << 20;
   if (injector != nullptr) {
     options.fault = injector;
     options.retry.max_retries = 50;
@@ -216,7 +211,7 @@ TEST(GoldenLedger, FaultReplayInvariantUnderOptimisations) {
   // Transient-only spec (no crash schedules: those key on the global wave
   // op counter, which legitimately shifts when cached lookups skip RPCs).
   // Transfer/send decisions key on per-(site, actor) op counts, so the
-  // replay trace must be identical with the optimisations on and off.
+  // replay trace must be identical with the lookup cache on and off.
   FaultSpec spec;
   spec.seed = 17;
   spec.p_transfer = 0.05;

@@ -1,12 +1,13 @@
 // Bait for the allow-marker mechanism (tools/analyze/codslint/registry.py).
 //
-// One justified suppression (finding fires, marker with a reason absorbs
-// it — the self-test asserts the suppressed list is non-empty) and one
-// reasonless marker, which must surface as its own finding: suppression
-// debt is never silent.
+// Justified suppressions (finding fires, marker with a reason absorbs
+// it — the self-test asserts the suppressed list is non-empty), one of
+// them on a preprocessor line, and one reasonless marker, which must
+// surface as its own finding: suppression debt is never silent.
 
 #include <cstdlib>
 #include <ctime>
+#include <shared_mutex>  // codslint-allow(blocking): bait demo on a directive
 
 namespace bait_allow {
 

@@ -2,11 +2,14 @@
 //
 // Every OS-blocking primitive the CondVar/SimHook funnel exists to replace,
 // including one hidden behind a type alias — the reason this check reads
-// the AST index instead of grepping.
+// the AST index instead of grepping — and the raw standard locking family
+// (mutex, lock guard, condition variable, their headers) that only
+// src/common/sync.hpp may wrap.
 
 #include <chrono>
-#include <condition_variable>
+#include <condition_variable>            // codslint-expect(blocking)
 #include <future>
+#include <mutex>                         // codslint-expect(blocking)
 #include <thread>
 
 namespace bait_blocking {
@@ -17,6 +20,11 @@ struct Worker {
   std::thread worker_;                   // codslint-expect(blocking)
   std::condition_variable cv_;           // codslint-expect(blocking)
   std::future<int> pending_;             // codslint-expect(blocking)
+  std::mutex mu_;                        // codslint-expect(blocking)
+
+  void locked() {
+    std::lock_guard hold(mu_);           // codslint-expect(blocking)
+  }
 
   void stop() {
     worker_.join();                      // codslint-expect(blocking)

@@ -11,6 +11,13 @@ itself (common/sync.hpp, common/blocking.*), resolving type aliases so
 `using Waiter = std::condition_variable;` does not slip through where a
 regex would go blind.
 
+The raw standard locking family (std::mutex & co., the std lock guards,
+std::condition_variable and their <mutex>/<shared_mutex>/
+<condition_variable> headers) is banned on the same grounds: under
+kSimulate a contended raw mutex parks the only OS thread, and only the
+cods::Mutex / SharedMutex / MutexLock / CondVar wrappers are seen by
+Clang's -Wthread-safety analysis and the lock-order registry.
+
 Thread spawn/join sites of the two thread-backed exec modes are real and
 deliberate — they are unreachable under kSimulate and carry audited
 codslint-allow markers rather than a file-level exemption, so a *new* spawn
@@ -18,6 +25,8 @@ site still needs a review.
 """
 
 from __future__ import annotations
+
+import re
 
 from ..model import CodeIndex
 from ..registry import Check, Finding, register
@@ -30,7 +39,23 @@ EXEMPT_SUFFIXES = (
     "src/common/blocking.cpp",
 )
 
+_RAW_MUTEX_MSG = ("raw standard mutex; use cods::Mutex / cods::SharedMutex "
+                  "(src/common/sync.hpp): a contended one parks the only OS "
+                  "thread under simulate mode")
+_RAW_GUARD_MSG = ("raw standard lock guard; use cods::MutexLock / "
+                  "WriterLock / ReaderLock (src/common/sync.hpp)")
+
 BANNED_TYPES = {
+    "std::mutex": _RAW_MUTEX_MSG,
+    "std::shared_mutex": _RAW_MUTEX_MSG,
+    "std::recursive_mutex": _RAW_MUTEX_MSG,
+    "std::timed_mutex": _RAW_MUTEX_MSG,
+    "std::recursive_timed_mutex": _RAW_MUTEX_MSG,
+    "std::shared_timed_mutex": _RAW_MUTEX_MSG,
+    "std::lock_guard": _RAW_GUARD_MSG,
+    "std::scoped_lock": _RAW_GUARD_MSG,
+    "std::unique_lock": _RAW_GUARD_MSG,
+    "std::shared_lock": _RAW_GUARD_MSG,
     "std::condition_variable":
         "raw condition variable bypasses the CondVar funnel: simulate mode "
         "cannot divert its waits (use cods::CondVar, src/common/sync.hpp)",
@@ -66,6 +91,13 @@ BANNED_CALLS = {
              "invisibly to the executor and the SimHook",
 }
 
+# Headers of the raw locking family: including one is the first step to
+# bypassing the wrappers, so the include itself is a finding.
+RAW_SYNC_INCLUDE = re.compile(
+    r"#\s*include\s*<(mutex|shared_mutex|condition_variable)>")
+RAW_SYNC_INCLUDE_MSG = ("raw locking header; include common/sync.hpp "
+                        "instead")
+
 # std::thread itself: spawning/joining OS threads is the business of the
 # thread-backed exec modes only; every site needs an audited allow marker.
 THREAD_TYPE_MSG = ("raw std::thread in src/: only the thread-backed exec "
@@ -76,7 +108,8 @@ THREAD_TYPE_MSG = ("raw std::thread in src/: only the thread-backed exec "
 @register
 class BlockingCheck(Check):
     name = "blocking"
-    description = ("OS-blocking primitives (condition_variable, sleep, "
+    description = ("OS-blocking primitives (raw mutexes, lock guards and "
+                   "condition variables and their headers, sleep, "
                    "future/latch waits, raw threads) banned outside the "
                    "CondVar/SimHook funnel")
 
@@ -95,6 +128,15 @@ class BlockingCheck(Check):
             seen.add(key)
             findings.append(Finding(self.name, path, tok.line, msg,
                                     canonical))
+        for path, lf in index.files.items():
+            if path in skip:
+                continue
+            for line, directive in lf.directives:
+                m = RAW_SYNC_INCLUDE.match(directive)
+                if m:
+                    findings.append(Finding(self.name, path, line,
+                                            RAW_SYNC_INCLUDE_MSG,
+                                            f"<{m.group(1)}>"))
         for path, tok, name in util.scan_calls(
                 index, set(BANNED_CALLS), skip):
             key = (path, tok.line, name)

@@ -4,7 +4,8 @@ Produces a flat token stream (identifiers, numbers, punctuation, string
 literals) with file/line/column, plus side tables for comments (the
 allow/expect markers live there) and preprocessor directives. Comments and
 directives are not part of the token stream the parser walks, so a banned
-name inside a comment never fires a check.
+name inside a comment never fires a check. A `//` comment trailing a
+directive goes to the comment table, so markers work on `#include` lines.
 """
 
 from __future__ import annotations
@@ -54,6 +55,17 @@ class LexedFile:
             self.comment_by_line[c.line] += " " + c.text
 
 
+def _trailing_comment(directive: str) -> Optional[int]:
+    """Offset of a `//` comment in a directive, outside string literals."""
+    quoted = False
+    for k, ch in enumerate(directive):
+        if ch == '"':
+            quoted = not quoted
+        elif not quoted and directive.startswith("//", k):
+            return k
+    return None
+
+
 def lex(path: str, text: Optional[str] = None) -> LexedFile:
     if text is None:
         with open(path, encoding="utf-8", errors="replace") as f:
@@ -95,7 +107,14 @@ def lex(path: str, text: Optional[str] = None) -> LexedFile:
                     advance(2)
                     continue
                 advance(1)
-            directives.append((start_line, text[start:i]))
+            directive = text[start:i]
+            cut = _trailing_comment(directive)
+            if cut is not None:
+                comments.append(Comment(
+                    directive[cut + 2:].strip(),
+                    start_line + directive.count("\n", 0, cut)))
+                directive = directive[:cut].rstrip()
+            directives.append((start_line, directive))
             continue
         at_line_start = False
         # Comments.

@@ -122,6 +122,7 @@ def expected_findings(index: CodeIndex) -> list[tuple[str, str, int]]:
     out = []
     for path, lf in index.files.items():
         code_lines = {t.line for t in lf.tokens}
+        code_lines.update(line for line, _ in lf.directives)
         for c in lf.comments:
             for m in EXPECT_RE.finditer(c.text):
                 line = c.line if c.line in code_lines else c.line + 1
