@@ -52,6 +52,9 @@ Outcome run_workflow(const FaultSpec& spec) {
   options.fault = &injector;
   options.retry.max_retries = 50;
   options.retry.op_timeout = std::chrono::seconds(10);
+  // Discrete-event enactment: the same tables as live ranks, without
+  // waiting out real receive timeouts behind the crashed node.
+  options.exec_mode = ExecMode::kSimulate;
   server.run(dag, options);
 
   Outcome out;

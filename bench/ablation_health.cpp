@@ -56,6 +56,9 @@ Outcome run_workflow(const FaultSpec& spec, const HealthConfig& health) {
   options.fault = &injector;
   options.retry.max_retries = 50;
   options.retry.op_timeout = std::chrono::seconds(10);
+  // Discrete-event enactment: the same tables as live ranks, without
+  // waiting out real receive timeouts behind the crashed node.
+  options.exec_mode = ExecMode::kSimulate;
   options.health = health;
   server.run(dag, options);
 

@@ -446,14 +446,14 @@ PutResult CodsClient::put_seq(const std::string& var, i32 version,
   const DataLocation loc = space_->store_object(
       node, var, version, box, {data.begin(), data.end()}, &stored);
   // The store lands on the producer's own node: a shared-memory movement,
-  // accounted through the dart funnel so the journal and trace see it too.
+  // accounted through the funnel so the journal and trace see it too.
   // A speculative put whose twin already landed still pays this movement
   // (the bytes crossed cores before the duplicate was detected).
   double time = backpressure +
                 space_->dart().cost_model().flow_time(
                     Flow{self_.loc, loc.owner_loc, data.size()});
-  space_->dart().record(app_id_, TrafficClass::kInterApp, self_.loc,
-                        loc.owner_loc, data.size(), time);
+  record_transfer(space_->dart().metrics(), app_id_, TrafficClass::kInterApp,
+                  self_.loc, loc.owner_loc, data.size(), time);
   TaskClock::advance(time);  // rpc() below advances its own share
   if (backpressure > 0.0) {
     space_->dart().metrics().add_time(

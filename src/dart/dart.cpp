@@ -34,22 +34,6 @@ bool HybridDart::has_window(i32 client_id, u64 key) const {
   return windows_.contains(Key{client_id, key});
 }
 
-void HybridDart::record(i32 app_id, TrafficClass cls, const CoreLoc& src,
-                        const CoreLoc& dst, u64 bytes, double model_time,
-                        bool overlay) {
-  const bool net = select_transport(src, dst) == TransportKind::kRdma;
-  metrics_->record(app_id, cls, bytes, net);
-  if (TransferLog* log = transfer_log()) {
-    log->record(
-        TransferRecord{src, dst, bytes, net, cls, app_id, model_time});
-  }
-  if (TraceContext* trace = TraceContext::current()) {
-    trace->leaf(net ? SpanCategory::kTransferNet : SpanCategory::kTransferShm,
-                model_time, bytes, cls, app_id, /*sequential=*/!overlay,
-                TraceFlags::kLedger, pack_loc(src.node, src.core));
-  }
-}
-
 double HybridDart::slowdown_factor(i32 node) const {
   FaultInjector* fault = fault_injector();
   if (fault == nullptr || !fault->has_slowdowns()) return 1.0;
@@ -71,7 +55,8 @@ double HybridDart::admit_op(FaultSite site, const Endpoint& local,
     // as regular traffic of the same class, plus the modelled time.
     const double attempt_time =
         model_.flow_time(Flow{remote.loc, local.loc, bytes});
-    record(app_id, cls, remote.loc, local.loc, bytes, attempt_time);
+    record_transfer(*metrics_, app_id, cls, remote.loc, local.loc, bytes,
+                    attempt_time);
     if (attempt > retry_.max_retries) {
       metrics_->add_count(app_id, fault_exhausted_id_);
       throw RetriesExhaustedError(site, retry_.max_retries);
@@ -108,7 +93,8 @@ double HybridDart::get(const Endpoint& local, i32 app_id, TrafficClass cls,
   const double time =
       model_.flow_time(Flow{remote.loc, local.loc, dst.size()}) *
       slowdown_factor(local.loc.node);
-  record(app_id, cls, remote.loc, local.loc, dst.size(), time);
+  record_transfer(*metrics_, app_id, cls, remote.loc, local.loc, dst.size(),
+                  time);
   span.close(penalty + time);
   TaskClock::advance(penalty + time);
   return penalty + time;
@@ -131,7 +117,8 @@ double HybridDart::put(const Endpoint& local, i32 app_id, TrafficClass cls,
   const double time =
       model_.flow_time(Flow{local.loc, remote.loc, src.size()}) *
       slowdown_factor(local.loc.node);
-  record(app_id, cls, local.loc, remote.loc, src.size(), time);
+  record_transfer(*metrics_, app_id, cls, local.loc, remote.loc, src.size(),
+                  time);
   span.close(penalty + time);
   TaskClock::advance(penalty + time);
   return penalty + time;
@@ -168,8 +155,8 @@ double HybridDart::pull(std::span<PullOp> ops) {
   // batch completes as one concurrent transfer, so per-op leaves must
   // not stack sequentially on the virtual clock.
   for (const PullOp& op : ops) {
-    record(op.app_id, op.cls, op.remote.loc, op.local.loc, op.bytes, time,
-           /*overlay=*/true);
+    record_transfer(*metrics_, op.app_id, op.cls, op.remote.loc, op.local.loc,
+                    op.bytes, time, /*overlay=*/true);
   }
   span.close(penalty + time);
   TaskClock::advance(penalty + time);
@@ -183,17 +170,16 @@ double HybridDart::rpc(const Endpoint& from, const Endpoint& to, u64 count) {
   const double penalty =
       admit_op(FaultSite::kRpc, from, to, /*app_id=*/0, TrafficClass::kControl,
                bytes);
-  // Control-plane RPC bytes feed the kControl counters only: they are
-  // deliberately not journaled or ledger-traced, reconciliation covers
-  // payload traffic (docs/TRACING.md).
-  // codslint-allow(funnel): control-plane bytes are metered, not journaled
-  metrics_->record(/*app_id=*/0, TrafficClass::kControl, bytes,
-                   select_transport(from.loc, to.loc) == TransportKind::kRdma);
-  const double time = penalty + model_.rpc_time(from.loc, to.loc, count) *
-                                    slowdown_factor(from.loc.node);
-  span.close(time, bytes);
-  TaskClock::advance(time);
-  return time;
+  const double rpc_time =
+      model_.rpc_time(from.loc, to.loc, count) * slowdown_factor(from.loc.node);
+  // An overlay leaf: the round trips' bytes enter all three books, while
+  // the kRpc span's self time stays the control-plane share of the
+  // critical path.
+  record_transfer(*metrics_, /*app_id=*/0, TrafficClass::kControl, from.loc,
+                  to.loc, bytes, rpc_time, /*overlay=*/true);
+  span.close(penalty + rpc_time, bytes);
+  TaskClock::advance(penalty + rpc_time);
+  return penalty + rpc_time;
 }
 
 }  // namespace cods

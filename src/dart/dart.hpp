@@ -19,7 +19,6 @@
 #include "fault/fault.hpp"
 #include "platform/cost_model.hpp"
 #include "platform/metrics.hpp"
-#include "platform/transfer_log.hpp"
 
 namespace cods {
 
@@ -59,16 +58,6 @@ class HybridDart {
   const Cluster& cluster() const { return *cluster_; }
   const CostModel& cost_model() const { return model_; }
   Metrics& metrics() { return *metrics_; }
-
-  /// Optional per-transfer journal (nullptr disables detailed logging).
-  /// The pointer is atomic, so attaching/detaching races benignly with
-  /// in-flight transfers; the journal itself is thread-safe.
-  void set_transfer_log(TransferLog* log) {
-    transfer_log_.store(log, std::memory_order_release);
-  }
-  TransferLog* transfer_log() const {
-    return transfer_log_.load(std::memory_order_acquire);
-  }
 
   /// Attaches a fault injector (nullptr = fault-free, zero overhead).
   /// Injected transient failures are retried per `retry`; each failed
@@ -122,16 +111,6 @@ class HybridDart {
   /// returns their modelled time.
   double rpc(const Endpoint& from, const Endpoint& to, u64 count = 1);
 
-  /// Byte-accounting funnel: metrics, the optional TransferLog journal
-  /// and (when a TraceContext is installed) a ledger trace leaf. Every
-  /// payload movement must pass through here so the three accountings
-  /// can never drift apart. `overlay` marks per-op members of a
-  /// concurrent batch: their leaves share the batch interval instead of
-  /// advancing the virtual clock.
-  void record(i32 app_id, TrafficClass cls, const CoreLoc& src,
-              const CoreLoc& dst, u64 bytes, double model_time,
-              bool overlay = false);
-
  private:
   struct Key {
     i32 client;
@@ -165,7 +144,6 @@ class HybridDart {
   CostModel model_;
   std::atomic<FaultInjector*> fault_{nullptr};
   RetryPolicy retry_;  ///< set before concurrent use (see set_fault)
-  std::atomic<TransferLog*> transfer_log_{nullptr};
   Metrics::CounterId fault_retries_id_;
   Metrics::CounterId fault_exhausted_id_;
   Metrics::CounterId fault_backoff_id_;

@@ -36,8 +36,8 @@ void HealthMonitor::sweep_round() {
     const CoreLoc src{node, 0};
     const u64 bytes = static_cast<u64>(dart_->cost_model().params().rpc_bytes);
     const double time = dart_->cost_model().rpc_time(src, sink, 1);
-    dart_->record(/*app_id=*/0, TrafficClass::kControl, src, sink, bytes,
-                  time);
+    record_transfer(metrics, /*app_id=*/0, TrafficClass::kControl, src, sink,
+                    bytes, time);
     metrics.add_count(0, heartbeats_id_);
     if (fate.dropped) {
       metrics.add_count(0, dropped_id_);

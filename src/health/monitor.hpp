@@ -2,8 +2,8 @@
 // (docs/FAULT_MODEL.md "Failure detection"). Every node emits one
 // heartbeat to the workflow server per detection round; the monitor asks
 // the fault injector for each heartbeat's fate (delivered / delayed /
-// dropped / source crashed), accounts delivered traffic through the
-// HybridDart record() funnel, feeds a phi-accrual FailureDetector, and
+// dropped / source crashed), accounts emitted traffic through the
+// record_transfer() funnel, feeds a phi-accrual FailureDetector, and
 // hands the engine *verdicts* — the engine never reads the injector's
 // crash schedule.
 //
@@ -42,8 +42,8 @@ struct HealthConfig {
 
 class HealthMonitor {
  public:
-  /// `dart` carries heartbeat accounting (its record() funnel) and the
-  /// cost model used to time rounds; `num_nodes` fixes the cohort.
+  /// `dart` carries the metrics registry heartbeats are accounted in and
+  /// the cost model used to time rounds; `num_nodes` fixes the cohort.
   HealthMonitor(HealthConfig config, FaultInjector& injector,
                 HybridDart& dart, i32 num_nodes);
 

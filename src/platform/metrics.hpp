@@ -13,6 +13,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <map>
 #include <optional>
 #include <string>
@@ -24,6 +25,8 @@
 #include "platform/cluster.hpp"
 
 namespace cods {
+
+class TransferLog;
 
 /// Which kind of traffic a transfer belongs to.
 enum class TrafficClass { kInterApp, kIntraApp, kControl };
@@ -82,9 +85,22 @@ class Metrics {
   u64 total_net_bytes() const;
 
   /// Clears all recorded values. The intern table survives, so ids held by
-  /// long-lived components stay valid across runs. Not linearizable
-  /// against concurrent writers; call between runs.
+  /// long-lived components stay valid across runs, and so does the
+  /// attached journal. Not linearizable against concurrent writers; call
+  /// between runs.
   void reset();
+
+  /// Optional per-transfer journal (nullptr disables), written by the
+  /// byte-accounting funnel (trace/trace.hpp record_transfer) next to
+  /// these counters. Every component of a run shares this registry, so
+  /// this is the one attach point. The pointer is atomic, so attaching
+  /// or detaching races benignly with in-flight transfers.
+  void set_journal(TransferLog* journal) {
+    journal_.store(journal, std::memory_order_release);
+  }
+  TransferLog* journal() const {
+    return journal_.load(std::memory_order_acquire);
+  }
 
   /// Canonical text summary: counters sorted by (app, class), times and
   /// events sorted by (app, name) — independent of interning order, shard
@@ -118,6 +134,7 @@ class Metrics {
       CODS_GUARDED_BY(intern_mutex_);  // id -> name
 
   std::array<Shard, kShards> shards_;
+  std::atomic<TransferLog*> journal_{nullptr};
 };
 
 }  // namespace cods

@@ -2,11 +2,11 @@
 // (endpoints, bytes, transport, traffic class, modelled duration) for
 // debugging and offline analysis. Timeline views come from the trace
 // layer's chrome://tracing export (trace/export.hpp).
-// Attach one to HybridDart when per-transfer visibility is needed; the
-// aggregate Metrics registry stays the always-on accounting path.
+// Attach one to the Metrics registry (Metrics::set_journal) when
+// per-transfer visibility is needed; the aggregate counters stay the
+// always-on accounting path.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "common/sync.hpp"
@@ -35,10 +35,6 @@ class TransferLog {
   size_t size() const;
   u64 dropped() const;  ///< records discarded after the log filled up
   std::vector<TransferRecord> snapshot() const;
-  void clear();
-
-  /// Summary rows: per (app, class, transport) count and bytes.
-  std::string summary() const;
 
  private:
   mutable Mutex mutex_{"platform.transfer_log"};

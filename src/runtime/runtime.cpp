@@ -66,13 +66,18 @@ void Comm::send(i32 dst, i32 tag, std::span<const std::byte> payload) const {
   // Account the movement against the placement of the two ranks.
   const CoreLoc a = runtime_->loc(src_global);
   const CoreLoc b = runtime_->loc(dst_global);
+  const bool moves = dst_global != src_global && !payload.empty();
+  const double time =
+      moves ? runtime_->cost_model().flow_time(Flow{a, b, payload.size()})
+            : 0.0;
   if (FaultInjector* fault = runtime_->fault()) {
     const RetryPolicy& retry = runtime_->retry_policy();
     for (i32 attempt = 1;; ++attempt) {
       if (!fault->on_op(FaultSite::kSend, src_global, a.node, b.node)) break;
       // The dropped attempt still moved the payload across the fabric.
-      if (dst_global != src_global && !payload.empty()) {
-        runtime_->note_transfer(app_id_, a, b, payload.size());
+      if (moves) {
+        record_transfer(runtime_->metrics(), app_id_, TrafficClass::kIntraApp,
+                        a, b, payload.size(), time);
       }
       if (attempt > retry.max_retries) {
         runtime_->metrics().add_count(app_id_, runtime_->fault_exhausted_id());
@@ -88,8 +93,9 @@ void Comm::send(i32 dst, i32 tag, std::span<const std::byte> payload) const {
                             static_cast<u64>(static_cast<u32>(dst_global))));
     }
   }
-  if (dst_global != src_global && !payload.empty()) {
-    runtime_->note_transfer(app_id_, a, b, payload.size());
+  if (moves) {
+    record_transfer(runtime_->metrics(), app_id_, TrafficClass::kIntraApp, a,
+                    b, payload.size(), time);
   }
   runtime_->mail_push(dst_global, src_global, comm_tag(tag), payload);
 }
@@ -444,29 +450,6 @@ std::vector<RankFailure> Runtime::run_collect(
               return a.global_rank < b.global_rank;
             });
   return failures;
-}
-
-void Runtime::note_transfer(i32 app_id, const CoreLoc& src, const CoreLoc& dst,
-                            u64 bytes) {
-  const bool net = src.node != dst.node;
-  // The audited mailbox-path funnel: the metrics counter, the transfer
-  // journal and the ledger trace leaf account the same bytes from this one
-  // site, so the three views cannot drift (codslint `funnel` check).
-  metrics().record(app_id, TrafficClass::kIntraApp, bytes, net);
-  TransferLog* log = transfer_log();
-  TraceContext* trace = TraceContext::current();
-  if (log == nullptr && trace == nullptr) return;
-  const double time = model_.flow_time(Flow{src, dst, bytes});
-  if (log != nullptr) {
-    log->record(TransferRecord{src, dst, bytes, net, TrafficClass::kIntraApp,
-                               app_id, time});
-  }
-  if (trace != nullptr) {
-    trace->leaf(net ? SpanCategory::kTransferNet : SpanCategory::kTransferShm,
-                time, bytes, TrafficClass::kIntraApp, app_id,
-                /*sequential=*/true, TraceFlags::kLedger,
-                pack_loc(src.node, src.core));
-  }
 }
 
 void Runtime::mail_push(i32 dst_global, i32 src_global, i64 comm_tag,

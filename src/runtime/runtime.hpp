@@ -20,7 +20,6 @@
 #include "fault/fault.hpp"
 #include "platform/cost_model.hpp"
 #include "platform/metrics.hpp"
-#include "platform/transfer_log.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/mailbox.hpp"
 #include "runtime/sim.hpp"
@@ -199,24 +198,6 @@ class Runtime {
   }
   const RetryPolicy& retry_policy() const { return retry_; }
 
-  /// Optional per-send journal (nullptr disables), sharing the format of
-  /// HybridDart's log so one journal can cover a whole workflow run.
-  /// Atomic like the dart-side pointer; attach before or between waves.
-  void set_transfer_log(TransferLog* log) {
-    transfer_log_.store(log, std::memory_order_release);
-  }
-  TransferLog* transfer_log() const {
-    return transfer_log_.load(std::memory_order_acquire);
-  }
-
-  /// Accounts one point-to-point payload movement against the journal
-  /// and the installed TraceContext (no-op when both are absent; the
-  /// Metrics registry is recorded separately by the caller). The flow
-  /// time is modelled lazily so the untraced send path stays free of
-  /// cost-model work.
-  void note_transfer(i32 app_id, const CoreLoc& src, const CoreLoc& dst,
-                     u64 bytes);
-
   /// Bound on blocking receives: a dead or wedged peer surfaces as a
   /// cods::Error after this long instead of hanging the rank forever.
   /// Atomic, so tests may tighten it while ranks are already running.
@@ -300,7 +281,6 @@ class Runtime {
   Metrics::CounterId fault_exhausted_id_;
   Metrics::CounterId fault_backoff_id_;
   std::atomic<FaultInjector*> fault_{nullptr};
-  std::atomic<TransferLog*> transfer_log_{nullptr};
   RetryPolicy retry_;  ///< set before ranks run (see set_fault)
   std::atomic<std::chrono::seconds> recv_timeout_{std::chrono::seconds(120)};
   // Rebuilt single-threadedly in run_collect() before ranks spawn and only

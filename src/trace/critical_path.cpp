@@ -159,8 +159,9 @@ TraceAnalysis analyze_trace(const std::vector<TraceSpan>& spans) {
   TraceAnalysis out;
 
   for (const TraceSpan& s : idx.spans) {
-    if (is_ledger(s)) {
-      ++out.ledger_spans;
+    if (!is_ledger(s)) continue;
+    ++out.ledger_spans;
+    if (s.cls != TrafficClass::kControl) {
       (s.cat == SpanCategory::kTransferNet ? out.net_bytes : out.shm_bytes) +=
           s.bytes;
     }

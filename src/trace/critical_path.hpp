@@ -61,7 +61,10 @@ struct TraceAnalysis {
   std::vector<u64> critical_path; ///< wave span id, its critical task, ...
   CategorySeconds critical;       ///< attribution along the critical path
   std::vector<WaveBreakdown> waves;
-  u64 shm_bytes = 0;  ///< ledger leaf totals (== TransferLog totals)
+  /// Payload (inter- plus intra-app) ledger totals: the journal's and
+  /// the Metrics registry's payload classes. Control leaves count in
+  /// ledger_spans only.
+  u64 shm_bytes = 0;
   u64 net_bytes = 0;
   u64 ledger_spans = 0;
 

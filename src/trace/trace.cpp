@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "platform/transfer_log.hpp"
 
 namespace cods {
 
@@ -284,6 +285,22 @@ void TraceContext::instant(SpanCategory cat, u64 bytes, u32 detail) {
   span.node = node_;
   span.core = core_;
   recorder_->emit(*track_, span);
+}
+
+void record_transfer(Metrics& metrics, i32 app_id, TrafficClass cls,
+                     const CoreLoc& src, const CoreLoc& dst, u64 bytes,
+                     double model_time, bool overlay) {
+  const bool net = src.node != dst.node;
+  metrics.record(app_id, cls, bytes, net);
+  if (TransferLog* journal = metrics.journal()) {
+    journal->record(
+        TransferRecord{src, dst, bytes, net, cls, app_id, model_time});
+  }
+  if (TraceContext* trace = TraceContext::current()) {
+    trace->leaf(net ? SpanCategory::kTransferNet : SpanCategory::kTransferShm,
+                model_time, bytes, cls, app_id, /*sequential=*/!overlay,
+                TraceFlags::kLedger, pack_loc(src.node, src.core));
+  }
 }
 
 }  // namespace cods

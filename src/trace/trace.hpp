@@ -296,4 +296,17 @@ class ScopedSpan {
   TraceContext* ctx_;
 };
 
+/// The byte-accounting funnel (docs/TRACING.md) and the only writer of
+/// the three byte books: the Metrics counters, the journal attached to
+/// `metrics` (if any) and, when a TraceContext is installed, a kLedger
+/// leaf. Every payload or control movement must pass through here so the
+/// three accountings can never drift apart. The transport follows from
+/// the endpoints: network iff they sit on different nodes. `overlay`
+/// marks a leaf that shares its enclosing span's interval instead of
+/// advancing the virtual clock (the per-op members of a pull batch, the
+/// bytes of an RPC span).
+void record_transfer(Metrics& metrics, i32 app_id, TrafficClass cls,
+                     const CoreLoc& src, const CoreLoc& dst, u64 bytes,
+                     double model_time, bool overlay = false);
+
 }  // namespace cods

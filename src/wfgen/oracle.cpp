@@ -82,17 +82,22 @@ void check_byte_conservation(const EnactResult& run, OracleReport& report) {
     }
   }
 
-  u64 journal_shm = 0;
-  u64 journal_net = 0;
   ByteCounters journal_cls[3];
   for (const TransferRecord& r : run.journal) {
-    (r.via_network ? journal_net : journal_shm) += r.bytes;
     ByteCounters& c = journal_cls[static_cast<size_t>(r.cls)];
     (r.via_network ? c.net_bytes : c.shm_bytes) += r.bytes;
     ++c.transfers;
   }
-  // The analysis is derived from the span ledger, so it matches the
-  // journal exactly — or lower-bounds it when speculation ran untraced.
+  const auto cls_total = [&journal_cls](TrafficClass cls) -> ByteCounters& {
+    return journal_cls[static_cast<size_t>(cls)];
+  };
+  // The analysis totals are the span ledger's payload bytes, so they
+  // match the journal's payload classes exactly — or lower-bound them
+  // when speculation ran untraced.
+  const u64 journal_shm = cls_total(TrafficClass::kInterApp).shm_bytes +
+                          cls_total(TrafficClass::kIntraApp).shm_bytes;
+  const u64 journal_net = cls_total(TrafficClass::kInterApp).net_bytes +
+                          cls_total(TrafficClass::kIntraApp).net_bytes;
   const bool analysis_ok =
       speculated == 0
           ? (journal_shm == run.analysis.shm_bytes &&
@@ -101,7 +106,7 @@ void check_byte_conservation(const EnactResult& run, OracleReport& report) {
              journal_net >= run.analysis.net_bytes);
   if (!analysis_ok) {
     report.violations.push_back(
-        "journal totals (" + std::to_string(journal_shm) + " shm, " +
+        "journal payload totals (" + std::to_string(journal_shm) + " shm, " +
         std::to_string(journal_net) + " net) vs analysis totals (" +
         std::to_string(run.analysis.shm_bytes) + " shm, " +
         std::to_string(run.analysis.net_bytes) + " net) " +
@@ -109,18 +114,16 @@ void check_byte_conservation(const EnactResult& run, OracleReport& report) {
                          : "journal may not undershoot the ledger"));
   }
 
-  // Payload classes reconcile exactly against the metrics registry;
-  // kControl is metrics >= journal, because control-plane RPC bytes are
-  // metered but deliberately not journaled (dart.cpp, docs/TRACING.md).
-  const auto cls_total = [&journal_cls](TrafficClass cls) -> ByteCounters& {
-    return journal_cls[static_cast<size_t>(cls)];
-  };
+  // Every class, control included, reconciles exactly against the
+  // metrics registry.
   for (const auto& [name, metrics_c, journal_c] :
        {std::tuple<const char*, ByteCounters, ByteCounters>{
             "inter-app", run.total_inter, cls_total(TrafficClass::kInterApp)},
         std::tuple<const char*, ByteCounters, ByteCounters>{
-            "intra-app", run.total_intra,
-            cls_total(TrafficClass::kIntraApp)}}) {
+            "intra-app", run.total_intra, cls_total(TrafficClass::kIntraApp)},
+        std::tuple<const char*, ByteCounters, ByteCounters>{
+            "control", run.total_control,
+            cls_total(TrafficClass::kControl)}}) {
     if (metrics_c.shm_bytes != journal_c.shm_bytes ||
         metrics_c.net_bytes != journal_c.net_bytes) {
       report.violations.push_back(
@@ -130,16 +133,6 @@ void check_byte_conservation(const EnactResult& run, OracleReport& report) {
           std::to_string(journal_c.shm_bytes) + " shm, " +
           std::to_string(journal_c.net_bytes) + " net)");
     }
-  }
-  const ByteCounters& jc = cls_total(TrafficClass::kControl);
-  if (run.total_control.shm_bytes < jc.shm_bytes ||
-      run.total_control.net_bytes < jc.net_bytes) {
-    report.violations.push_back(
-        "control metrics (" + std::to_string(run.total_control.shm_bytes) +
-        " shm, " + std::to_string(run.total_control.net_bytes) +
-        " net) below journaled control traffic (" +
-        std::to_string(jc.shm_bytes) + " shm, " +
-        std::to_string(jc.net_bytes) + " net)");
   }
 }
 

@@ -6,7 +6,8 @@
 //
 //   outputs         — zero pattern-verification mismatches
 //   byte conservation — ledger spans == transfer journal (exact multiset)
-//                     and journal aggregates == metrics == analysis totals
+//                     and journal aggregates == metrics per class
+//                     (control included) == analysis payload totals
 //   stored bytes    — space holds exactly the put_seq bytes the spec
 //                     implies, also across recoveries
 //   schedule        — every task mapped once, no core double-booked,

@@ -18,7 +18,6 @@ void configure_runtime(Runtime& runtime, const WorkflowOptions& options) {
   if (options.fault != nullptr) {
     runtime.set_fault(options.fault, options.retry);
   }
-  runtime.set_transfer_log(options.transfer_log);
   runtime.set_exec_mode(options.exec_mode);
   runtime.set_exec_pool_size(options.exec_pool_size);
 }
@@ -360,9 +359,9 @@ void WorkflowServer::run(const DagSpec& dag, WorkflowOptions options) {
   sim_stats_ = SimStats{};
   space_.set_reexecution(false);
   if (options.transfer_log != nullptr) {
-    // Only attach when the caller provided a journal: tests that hook a
-    // log directly onto the transport must keep it across run().
-    space_.dart().set_transfer_log(options.transfer_log);
+    // Only attach when the caller provided a journal: one attached to the
+    // registry directly must survive run().
+    metrics_->set_journal(options.transfer_log);
   }
   // The server's own trace track (key 0) holds the wave spans; task spans
   // recorded by execution clients parent under them.

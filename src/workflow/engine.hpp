@@ -9,6 +9,7 @@
 
 #include "core/cods.hpp"
 #include "health/monitor.hpp"
+#include "platform/transfer_log.hpp"
 #include "runtime/runtime.hpp"
 #include "trace/trace.hpp"
 #include "workflow/mapping.hpp"
@@ -45,8 +46,8 @@ struct WorkflowOptions {
   /// records into the recorder. Near-zero cost when null.
   TraceRecorder* trace = nullptr;
   /// Optional per-transfer journal covering the whole run: attached to
-  /// the transport and to every wave's runtime so dart transfers and
-  /// point-to-point sends land in one reconcilable log.
+  /// the shared Metrics registry, so dart transfers, point-to-point sends
+  /// and control RPCs land in one reconcilable log.
   TransferLog* transfer_log = nullptr;
   /// Rank dispatch for every wave (docs/PERF.md "Enactment scaling").
   /// kPooled runs ranks on a bounded work-stealing pool; kSimulate enacts

@@ -1,6 +1,6 @@
 // Regression tests for the racy configuration paths surfaced while
 // annotating the concurrency-bearing classes (docs/CONCURRENCY.md):
-// CodsSpace::op_timeout_, HybridDart::transfer_log_/fault_, and
+// CodsSpace::op_timeout_, Metrics::journal_, HybridDart::fault_ and
 // Runtime::recv_timeout_ used to be plain fields written while reader
 // threads were live. They are atomics now; these tests hammer each
 // writer/reader pair so the TSan CI job proves the fix.
@@ -14,6 +14,7 @@
 #include "core/cods.hpp"
 #include "dart/dart.hpp"
 #include "fault/fault.hpp"
+#include "platform/transfer_log.hpp"
 #include "runtime/runtime.hpp"
 
 namespace cods {
@@ -82,8 +83,8 @@ TEST(SyncDiscipline, TransferLogAttachedWhileTransfersRun) {
   std::atomic<bool> stop{false};
   std::thread toggler([&] {
     while (!stop.load()) {
-      dart.set_transfer_log(&log);
-      dart.set_transfer_log(nullptr);
+      metrics.set_journal(&log);
+      metrics.set_journal(nullptr);
     }
   });
 
@@ -103,8 +104,8 @@ TEST(SyncDiscipline, TransferLogAttachedWhileTransfersRun) {
   stop.store(true);
   toggler.join();
 
-  dart.set_transfer_log(&log);
-  EXPECT_EQ(dart.transfer_log(), &log);
+  metrics.set_journal(&log);
+  EXPECT_EQ(metrics.journal(), &log);
   EXPECT_LE(log.size(), size_t{1} << 16);
 }
 

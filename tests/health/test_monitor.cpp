@@ -1,6 +1,6 @@
 // HealthMonitor tests: heartbeat sweeps over the injector's fate oracle,
 // detection of dead nodes from verdicts (never from the crash schedule),
-// heartbeat traffic accounting through the dart funnel, and the
+// heartbeat traffic accounting through the byte funnel, and the
 // zero-traffic guarantee of clean runs (docs/FAULT_MODEL.md).
 #include <gtest/gtest.h>
 

@@ -4,6 +4,7 @@
 
 #include "dart/dart.hpp"
 #include "platform/transfer_log.hpp"
+#include "runtime/runtime.hpp"
 
 namespace cods {
 namespace {
@@ -39,27 +40,6 @@ TEST(TransferLog, CapacityBoundsAndDropCount) {
   EXPECT_EQ(log.dropped(), 2u);
 }
 
-TEST(TransferLog, ClearResets) {
-  TransferLog log(1);
-  log.record(make_record(0, 1, 1, true));
-  log.record(make_record(0, 1, 1, true));
-  log.clear();
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_EQ(log.dropped(), 0u);
-}
-
-TEST(TransferLog, SummaryGroupsByAppClassTransport) {
-  TransferLog log;
-  log.record(make_record(0, 1, 100, true, 1));
-  log.record(make_record(0, 1, 200, true, 1));
-  log.record(make_record(0, 0, 10, false, 2));
-  const std::string summary = log.summary();
-  EXPECT_NE(summary.find("app 1 inter-app net: 2 transfers, 300 B"),
-            std::string::npos);
-  EXPECT_NE(summary.find("app 2 inter-app shm: 1 transfers, 10 B"),
-            std::string::npos);
-}
-
 TEST(TransferLog, ThreadSafeRecording) {
   TransferLog log;
   std::vector<std::thread> threads;
@@ -77,7 +57,7 @@ TEST(TransferLog, AttachedToDartCapturesTransfers) {
   Metrics metrics;
   HybridDart dart(cluster, metrics);
   TransferLog log;
-  dart.set_transfer_log(&log);
+  metrics.set_journal(&log);
 
   std::vector<std::byte> window(64);
   dart.expose(1, 7, window);
@@ -91,11 +71,38 @@ TEST(TransferLog, AttachedToDartCapturesTransfers) {
   EXPECT_EQ(records[0].app_id, 3);
   EXPECT_GT(records[0].model_time, 0.0);
 
+  // Control RPCs and point-to-point sends land in the same journal: the
+  // registry every component shares is the one attach point.
+  dart.rpc(Endpoint{0, {0, 0}}, Endpoint{1, {1, 0}}, /*count=*/2);
+  Runtime runtime(cluster, metrics);
+  runtime.set_exec_mode(ExecMode::kSimulate);
+  runtime.run({CoreLoc{0, 0}, CoreLoc{0, 1}}, [](RankCtx& ctx) {
+    if (ctx.world.rank() == 0) {
+      ctx.world.send_value<i64>(1, 0, 42);
+    } else {
+      EXPECT_EQ(ctx.world.recv_value<i64>(0, 0), 42);
+    }
+  });
+  ASSERT_EQ(log.size(), 3u);
+  const auto all = log.snapshot();
+  EXPECT_EQ(all[1].cls, TrafficClass::kControl);
+  EXPECT_EQ(all[1].app_id, 0);
+  EXPECT_TRUE(all[1].via_network);
+  EXPECT_GT(all[1].bytes, 0u);
+  EXPECT_EQ(all[2].cls, TrafficClass::kIntraApp);
+  EXPECT_EQ(all[2].bytes, sizeof(i64));
+  EXPECT_FALSE(all[2].via_network);
+  u64 journaled_control = 0;
+  for (const TransferRecord& r : all) {
+    if (r.cls == TrafficClass::kControl) journaled_control += r.bytes;
+  }
+  EXPECT_EQ(journaled_control, metrics.total(TrafficClass::kControl).total());
+
   // Detach: no further records.
-  dart.set_transfer_log(nullptr);
+  metrics.set_journal(nullptr);
   dart.get(Endpoint{0, {0, 0}}, 3, TrafficClass::kInterApp,
            Endpoint{1, {1, 0}}, 7, 0, dst);
-  EXPECT_EQ(log.size(), 1u);
+  EXPECT_EQ(log.size(), 3u);
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // Bait for the funnel check (tools/analyze/codslint/checks/funnel.py).
 //
 // Mimics the real shape: Metrics / TransferLog sinks, a TraceContext with
-// ledger-flagged leaves, one audited funnel (HybridDart::record) that may
-// call the sinks, and a rogue subsystem that grows its own accounting
-// path. Self-contained on purpose — the self-test corpus never includes
-// src/ headers, so it pins the bundled frontend alone.
+// ledger-flagged leaves, one audited free-function funnel
+// (record_transfer) that may call the sinks, and a rogue subsystem that
+// grows its own accounting path. Self-contained on purpose — the
+// self-test corpus never includes src/ headers, so it pins the bundled
+// frontend alone.
 
 namespace bait_funnel {
 
@@ -25,25 +26,16 @@ struct TraceContext {
   long last_ = 0;
 };
 
-// The audited funnel: sink calls inside it are the whole point.
-struct HybridDart {
-  Metrics metrics_;
-  TransferLog log_;
-  TraceContext trace_;
-  void record(int app, long bytes) {
-    metrics_.record(app, bytes);
-    log_.record(bytes);
-    trace_.leaf(kLedger, bytes);
-  }
-};
+// The audited funnel: sink calls inside it are the whole point. Exempt
+// by qualname suffix.
+void record_transfer(Metrics& metrics, TransferLog& log, TraceContext& trace,
+                     int app, long bytes) {
+  metrics.record(app, bytes);
+  log.record(bytes);
+  trace.leaf(kLedger, bytes);
+}
 
-// The mailbox-path funnel mimic: also exempt by qualname suffix.
-struct Runtime {
-  TransferLog log_;
-  void note_transfer(long bytes) { log_.record(bytes); }
-};
-
-// A rogue subsystem growing a fourth accounting path: every sink call
+// A rogue subsystem growing a second accounting path: every sink call
 // here must fire.
 struct RogueChannel {
   Metrics metrics_;

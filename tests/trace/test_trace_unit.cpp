@@ -122,6 +122,87 @@ TEST(TraceUnit, SequentialLeafAdvancesClockOverlayDoesNot) {
   EXPECT_EQ(spans[0].core, 0);
 }
 
+TEST(TraceUnit, RecordTransferWritesAllThreeBooks) {
+  // The funnel is the only writer of the Metrics counters, the attached
+  // journal and the kLedger leaves; the transport follows the endpoints.
+  Metrics metrics;
+  TransferLog log;
+  metrics.set_journal(&log);
+  TraceRecorder rec;
+  {
+    TraceContext ctx(rec, kTrack, 0.0, 0, 1, 0, 0);
+    record_transfer(metrics, 1, TrafficClass::kInterApp, CoreLoc{0, 0},
+                    CoreLoc{0, 1}, 100, 2.0);
+    record_transfer(metrics, 1, TrafficClass::kIntraApp, CoreLoc{0, 3},
+                    CoreLoc{1, 0}, 200, 3.0);
+    EXPECT_DOUBLE_EQ(ctx.clock(), 5.0);
+  }
+
+  EXPECT_EQ(metrics.counters(1, TrafficClass::kInterApp).shm_bytes, 100u);
+  EXPECT_EQ(metrics.counters(1, TrafficClass::kInterApp).net_bytes, 0u);
+  EXPECT_EQ(metrics.counters(1, TrafficClass::kIntraApp).net_bytes, 200u);
+  EXPECT_EQ(metrics.counters(1, TrafficClass::kIntraApp).shm_bytes, 0u);
+
+  const auto records = log.snapshot();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_FALSE(records[0].via_network);
+  EXPECT_TRUE(records[1].via_network);
+  EXPECT_EQ(records[1].src.core, 3);
+  EXPECT_EQ(records[1].dst.node, 1);
+  EXPECT_DOUBLE_EQ(records[1].model_time, 3.0);
+
+  const auto spans = rec.snapshot();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].cat, SpanCategory::kTransferShm);
+  EXPECT_EQ(spans[1].cat, SpanCategory::kTransferNet);
+  EXPECT_TRUE(spans[1].flags & TraceFlags::kLedger);
+  EXPECT_TRUE(spans[1].flags & TraceFlags::kSequential);
+  EXPECT_EQ(spans[1].detail, pack_loc(0, 3));
+  EXPECT_EQ(reconcile_with_transfer_log(spans, records), "");
+
+  // With no journal and no installed context only the counters move.
+  metrics.set_journal(nullptr);
+  record_transfer(metrics, 1, TrafficClass::kControl, CoreLoc{0, 0},
+                  CoreLoc{1, 0}, 16, 1.0);
+  EXPECT_EQ(metrics.counters(1, TrafficClass::kControl).net_bytes, 16u);
+  EXPECT_EQ(log.size(), 2u);
+  EXPECT_EQ(rec.snapshot().size(), 2u);
+}
+
+TEST(TraceUnit, RecordTransferOverlayLeafSharesEnclosingInterval) {
+  // Control RPC bytes and pull-batch members are overlay leaves: they are
+  // counted in every book but leave the track's virtual clock alone.
+  Metrics metrics;
+  TransferLog log;
+  metrics.set_journal(&log);
+  TraceRecorder rec;
+  TraceContext ctx(rec, kTrack, 4.0, 0, 2, 0, 0);
+  ctx.begin(SpanCategory::kRpc);
+  record_transfer(metrics, 2, TrafficClass::kControl, CoreLoc{0, 0},
+                  CoreLoc{1, 0}, 64, 0.5, /*overlay=*/true);
+  EXPECT_DOUBLE_EQ(ctx.clock(), 4.0);
+  ctx.end(/*total=*/0.5);
+  EXPECT_DOUBLE_EQ(ctx.clock(), 4.5);
+
+  const auto spans = rec.snapshot();
+  ASSERT_EQ(spans.size(), 2u);
+  const TraceSpan& leaf =
+      spans[0].cat == SpanCategory::kTransferNet ? spans[0] : spans[1];
+  const TraceSpan& rpc =
+      spans[0].cat == SpanCategory::kRpc ? spans[0] : spans[1];
+  EXPECT_EQ(leaf.cat, SpanCategory::kTransferNet);
+  EXPECT_EQ(rpc.cat, SpanCategory::kRpc);
+  EXPECT_EQ(leaf.parent, rpc.id);
+  EXPECT_DOUBLE_EQ(leaf.begin, rpc.begin);
+  EXPECT_FALSE(leaf.flags & TraceFlags::kSequential);
+  EXPECT_TRUE(leaf.flags & TraceFlags::kLedger);
+  EXPECT_EQ(leaf.cls, TrafficClass::kControl);
+  EXPECT_EQ(leaf.bytes, 64u);
+  EXPECT_EQ(metrics.total(TrafficClass::kControl).net_bytes, 64u);
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(reconcile_with_transfer_log(spans, log.snapshot()), "");
+}
+
 TEST(TraceUnit, ContainerCoversChildrenAndExplicitTotal) {
   TraceRecorder rec;
   TraceContext ctx(rec, kTrack, 0.0, 0, 1, 0, 0);

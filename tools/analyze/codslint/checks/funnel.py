@@ -5,9 +5,9 @@ ledger-flagged trace leaves are three accountings of the same traffic, and
 they can only stay exactly equal because one choke point writes all three.
 This check machine-enforces it: a call to `Metrics::record`,
 `TransferLog::record`, or a `TraceContext::leaf` carrying
-`TraceFlags::kLedger` may only appear inside an audited funnel function —
-`HybridDart::record` (transport traffic) or `Runtime::note_transfer`
-(rank-to-rank mailbox traffic) — so a new subsystem cannot grow a fourth,
+`TraceFlags::kLedger` may only appear inside the audited funnel function
+`record_transfer` (trace/trace.cpp), which every transport, mailbox and
+control-plane movement calls — so a new subsystem cannot grow a second,
 drift-prone accounting path.
 
 Receivers are resolved through field types and method return types
@@ -27,13 +27,10 @@ SINK_METHODS = {
     ("TransferLog", "record"),
 }
 
-# Functions allowed to call the sinks (qualname suffix match): the audited
-# funnels. HybridDart::record covers all transport traffic;
-# Runtime::note_transfer is the mailbox-path funnel (vmpi sends never touch
-# HybridDart, so they have their own single choke point).
+# Functions allowed to call the sinks (qualname suffix match): the one
+# audited funnel, a free function every accounting site calls.
 FUNNEL_FUNCTIONS = (
-    "HybridDart::record",
-    "Runtime::note_transfer",
+    "::record_transfer",
 )
 
 LEDGER_FLAG = "kLedger"
@@ -48,7 +45,7 @@ class FunnelCheck(Check):
     name = "funnel"
     description = ("byte-accounting sinks (Metrics::record, "
                    "TransferLog::record, kLedger trace leaves) only inside "
-                   "the audited funnels")
+                   "the audited funnel")
 
     def run(self, index: CodeIndex) -> list[Finding]:
         findings: list[Finding] = []
@@ -74,9 +71,9 @@ class FunnelCheck(Check):
                 return Finding(
                     self.name, call.file, call.line,
                     f"direct {bare}::record() outside the byte-accounting "
-                    "funnel; route through HybridDart::record() or "
-                    "Runtime::note_transfer() so metrics, journal and "
-                    "ledger trace cannot drift (docs/TRACING.md)",
+                    "funnel; route through record_transfer() so metrics, "
+                    "journal and ledger trace cannot drift "
+                    "(docs/TRACING.md)",
                     f"{fn.qualname}")
             return None
         if call.name == "leaf":
@@ -90,7 +87,7 @@ class FunnelCheck(Check):
                     self.name, call.file, call.line,
                     "ledger-flagged trace leaf emitted outside the "
                     "byte-accounting funnel; ledger leaves must come from "
-                    "HybridDart::record() / Runtime::note_transfer() or "
-                    "trace-vs-journal reconciliation breaks",
+                    "record_transfer() or trace-vs-journal reconciliation "
+                    "breaks",
                     f"{fn.qualname}")
         return None
