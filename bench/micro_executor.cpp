@@ -1,6 +1,6 @@
 // Enactment-scaling microbenchmark (docs/PERF.md "Enactment scaling"):
 //
-//   1. run_collect dispatch on the bounded work-stealing executor at
+//   1. run_collect dispatch on the bounded pool executor at
 //      256 / 1k / 4k ranks, on a pipelined ring-of-8 body (each rank
 //      sends to its successor then blocks on its predecessor — the
 //      enactment pattern the pool is built for). Reports wall time plus

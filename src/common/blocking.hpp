@@ -3,8 +3,8 @@
 // Every potentially-unbounded blocking wait in src/ funnels through
 // CondVar (common/sync.hpp) — mailbox receives, collectives built on
 // them, lock-service acquisitions, space waits. A component that
-// multiplexes many logical activities over few OS threads (the
-// work-stealing executor, runtime/executor.hpp) installs a thread-local
+// multiplexes many logical activities over few OS threads (the pool
+// executor, runtime/executor.hpp) installs a thread-local
 // Observer on its worker threads; CondVar then brackets each wait with
 // on_block()/on_unblock(), so the owner learns "this thread is parked"
 // and can hand the execution slot to a spare — the tokio/Go

@@ -28,8 +28,6 @@ struct Endpoint {
   CoreLoc loc;
 };
 
-enum class TransportKind { kSharedMemory, kRdma };
-
 /// One receiver-driven pull operation (paper §IV-A: consumers issue data
 /// requests to the cores where data lives). `copy` receives the remote
 /// window and performs the (possibly strided) gather into local memory.
@@ -73,12 +71,6 @@ class HybridDart {
     return fault_.load(std::memory_order_acquire);
   }
   const RetryPolicy& retry_policy() const { return retry_; }
-
-  /// Transport used between two cores: shared memory iff same node.
-  TransportKind select_transport(const CoreLoc& a, const CoreLoc& b) const {
-    return a.node == b.node ? TransportKind::kSharedMemory
-                            : TransportKind::kRdma;
-  }
 
   /// Registers a remotely accessible window. The caller keeps ownership of
   /// the memory and must keep it alive until withdraw().

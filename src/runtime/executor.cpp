@@ -17,15 +17,15 @@ void raise_max(std::atomic<i32>& maximum, i32 value) {
 
 }  // namespace
 
-i32 WorkStealingExecutor::default_pool_size() {
+i32 PoolExecutor::default_pool_size() {
   // codslint-allow(blocking): hardware_concurrency is a non-blocking query
   return static_cast<i32>(std::max(2u, std::thread::hardware_concurrency()));
 }
 
-WorkStealingExecutor::WorkStealingExecutor(i32 pool_size)
+PoolExecutor::PoolExecutor(i32 pool_size)
     : pool_size_(pool_size > 0 ? pool_size : default_pool_size()) {}
 
-WorkStealingExecutor::~WorkStealingExecutor() {
+PoolExecutor::~PoolExecutor() {
   // run() joins its own pool; this only covers a run() that threw.
   // codslint-allow(blocking): pool teardown; unreachable under kSimulate
   std::vector<std::thread> leftover;
@@ -39,32 +39,19 @@ WorkStealingExecutor::~WorkStealingExecutor() {
   for (std::thread& t : leftover) t.join();
 }
 
-void WorkStealingExecutor::run(i32 ntasks,
-                               const std::function<void(i32)>& body) {
+void PoolExecutor::run(i32 ntasks, const std::function<void(i32)>& body) {
   CODS_REQUIRE(ntasks >= 1, "need at least one task");
   CODS_REQUIRE(body_ == nullptr, "executor run() is not reentrant");
   ntasks_ = ntasks;
   body_ = &body;
   claimed_.store(0);
   completed_.store(0);
-  slots_.clear();
-  slots_ = std::vector<Slot>(static_cast<size_t>(pool_size_));
-  // Seed the deques round-robin: slot s owns tasks s, s + P, s + 2P, ...
-  // Owners pop the front, so each worker walks its tasks in ascending
-  // index order and the pool as a whole dispatches ranks near-in-order —
-  // the order rank programs that consume lower ranks' messages want.
-  for (i32 t = 0; t < ntasks; ++t) {
-    Slot& slot = slots_[static_cast<size_t>(t % pool_size_)];
-    MutexLock lock(slot.mutex);
-    slot.tasks.push_back(t);
-  }
   {
     MutexLock lock(state_mutex_);
     shutdown_ = false;
     escaped_ = nullptr;
     const i32 initial = std::min(pool_size_, ntasks);
-    next_spawn_slot_ = initial;
-    for (i32 s = 0; s < initial; ++s) spawn_locked(s);
+    for (i32 s = 0; s < initial; ++s) spawn_locked();
   }
 
   // Wait for every task body to return. The main thread never executes
@@ -93,7 +80,6 @@ void WorkStealingExecutor::run(i32 ntasks,
   stats_.peak_blocked = peak_blocked_.load();
   stats_.escalations = escalations_.load();
   stats_.spare_reuses = spare_reuses_.load();
-  stats_.steals = steals_.load();
   body_ = nullptr;
 
   std::exception_ptr escaped;
@@ -104,40 +90,15 @@ void WorkStealingExecutor::run(i32 ntasks,
   if (escaped) std::rethrow_exception(escaped);
 }
 
-void WorkStealingExecutor::spawn_locked(i32 slot) {
+void PoolExecutor::spawn_locked() {
   runnable_.fetch_add(1);
   const i32 live = live_.fetch_add(1) + 1;
   raise_max(peak_live_, live);
   total_spawned_.fetch_add(1);
-  threads_.emplace_back([this, slot] { worker_loop(slot); });
+  threads_.emplace_back([this] { worker_loop(); });
 }
 
-i32 WorkStealingExecutor::next_task(i32 slot) {
-  {
-    Slot& own = slots_[static_cast<size_t>(slot)];
-    MutexLock lock(own.mutex);
-    if (!own.tasks.empty()) {
-      const i32 task = own.tasks.front();
-      own.tasks.pop_front();
-      claimed_.fetch_add(1);
-      return task;
-    }
-  }
-  for (i32 i = 1; i < pool_size_; ++i) {
-    Slot& victim = slots_[static_cast<size_t>((slot + i) % pool_size_)];
-    MutexLock lock(victim.mutex);
-    if (!victim.tasks.empty()) {
-      const i32 task = victim.tasks.back();
-      victim.tasks.pop_back();
-      claimed_.fetch_add(1);
-      steals_.fetch_add(1);
-      return task;
-    }
-  }
-  return -1;
-}
-
-void WorkStealingExecutor::run_task(i32 task) {
+void PoolExecutor::run_task(i32 task) {
   blocking::Observer* previous = blocking::install(this);
   try {
     (*body_)(task);
@@ -154,17 +115,12 @@ void WorkStealingExecutor::run_task(i32 task) {
   }
 }
 
-void WorkStealingExecutor::worker_loop(i32 slot) {
+void PoolExecutor::worker_loop() {
   for (;;) {
-    const i32 task = next_task(slot);
-    if (task < 0) {
-      // claimed_ is bumped inside the deque lock, so a full empty scan
-      // proves every task is claimed — each claimed task owns a thread
-      // until completion, so this worker is no longer needed.
-      if (claimed_.load() >= ntasks_) break;
-      std::this_thread::yield();  // transient: a pop is mid-flight
-      continue;
-    }
+    // Every claimed task owns a thread until completion, so once the
+    // cursor passes the last task this worker is no longer needed.
+    const i32 task = claimed_.fetch_add(1);
+    if (task >= ntasks_) break;
     run_task(task);
     // A woken blocker runs as a temporary surplus; trim at the safe
     // point between tasks.
@@ -174,7 +130,7 @@ void WorkStealingExecutor::worker_loop(i32 slot) {
   live_.fetch_sub(1);
 }
 
-bool WorkStealingExecutor::park_or_retire() {
+bool PoolExecutor::park_or_retire() {
   MutexLock lock(state_mutex_);
   if (runnable_.load() <= pool_size_) return true;  // surplus already gone
   runnable_.fetch_sub(1);
@@ -200,19 +156,19 @@ bool WorkStealingExecutor::park_or_retire() {
   return true;  // escalate() already re-granted the execution slot
 }
 
-void WorkStealingExecutor::on_block() {
+void PoolExecutor::on_block() {
   const i32 blocked = blocked_.fetch_add(1) + 1;
   raise_max(peak_blocked_, blocked);
   const i32 runnable = runnable_.fetch_sub(1) - 1;
   if (claimed_.load() < ntasks_ && runnable < pool_size_) escalate();
 }
 
-void WorkStealingExecutor::on_unblock() {
+void PoolExecutor::on_unblock() {
   blocked_.fetch_sub(1);
   runnable_.fetch_add(1);
 }
 
-void WorkStealingExecutor::escalate() {
+void PoolExecutor::escalate() {
   bool notify = false;
   {
     MutexLock lock(state_mutex_);
@@ -224,7 +180,7 @@ void WorkStealingExecutor::escalate() {
       spare_reuses_.fetch_add(1);
       notify = true;
     } else {
-      spawn_locked(next_spawn_slot_++ % pool_size_);
+      spawn_locked();
     }
   }
   if (notify) state_cv_.notify_all();

@@ -1,12 +1,11 @@
-// Bounded work-stealing executor (docs/PERF.md "Enactment scaling").
+// Bounded pool executor (docs/PERF.md "Enactment scaling").
 //
 // Runs N one-shot tasks — the rank bodies of one Runtime::run_collect
 // wave, or a mapping-stage parallel-for — on a fixed pool of worker
 // threads sized to hardware concurrency, instead of one OS thread per
-// task. Task indices are seeded round-robin into per-worker deques;
-// an idle worker first drains the front of its own deque (ascending
-// index order, which matches how rank programs consume each other's
-// messages), then steals from the back of a victim's.
+// task. Workers claim task indices from one shared cursor, so tasks
+// start in ascending index order — the order rank programs that consume
+// lower ranks' messages want.
 //
 // Rank bodies block: on mailbox receives, collectives and lock-service
 // waits. A bounded pool would deadlock the moment every worker parks
@@ -23,14 +22,14 @@
 // 2 * pool_size regardless of N, and the peak live-thread count by
 // pool_size + concurrently-blocked tasks + parked spares.
 //
-// Determinism: the executor adds no ordering of its own. Each task runs
-// start-to-finish on one thread, so thread-local contracts (TraceContext
-// tracks, virtual clocks, metrics shard slots) hold per task, and Runtime
-// sorts collected failures by rank.
+// Determinism: the executor fixes only the order tasks start in, not how
+// they interleave once running. Each task runs start-to-finish on one
+// thread, so thread-local contracts (TraceContext tracks, virtual clocks,
+// metrics shard slots) hold per task, and Runtime sorts collected
+// failures by rank.
 #pragma once
 
 #include <atomic>
-#include <deque>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -42,7 +41,7 @@
 
 namespace cods {
 
-/// Counters describing one WorkStealingExecutor::run() (kSimulate fills
+/// Counters describing one PoolExecutor::run() (kSimulate fills
 /// the same struct with its single scheduler thread).
 struct ExecutorStats {
   i32 pool_size = 0;      ///< execution-slot cap (runnable threads)
@@ -51,18 +50,18 @@ struct ExecutorStats {
   i32 peak_blocked = 0;   ///< max task bodies parked in waits at once
   i32 escalations = 0;    ///< blocked workers that handed their slot on
   i32 spare_reuses = 0;   ///< escalations served by waking a parked spare
-  i32 steals = 0;         ///< tasks taken from another worker's deque
+  i32 steals = 0;         ///< always 0 since the single-cursor executor
 };
 
-class WorkStealingExecutor final : public blocking::Observer {
+class PoolExecutor final : public blocking::Observer {
  public:
   /// `pool_size` caps concurrently-runnable threads; <= 0 selects
   /// default_pool_size(). The pool is per-run: threads are spawned by
   /// run() and joined before it returns.
-  explicit WorkStealingExecutor(i32 pool_size = 0);
-  ~WorkStealingExecutor() override;
-  WorkStealingExecutor(const WorkStealingExecutor&) = delete;
-  WorkStealingExecutor& operator=(const WorkStealingExecutor&) = delete;
+  explicit PoolExecutor(i32 pool_size = 0);
+  ~PoolExecutor() override;
+  PoolExecutor(const PoolExecutor&) = delete;
+  PoolExecutor& operator=(const PoolExecutor&) = delete;
 
   /// Runs body(0) .. body(ntasks - 1) to completion and returns. The
   /// body must contain its own exceptions (Runtime's rank wrapper does);
@@ -83,22 +82,12 @@ class WorkStealingExecutor final : public blocking::Observer {
   void on_unblock() override;
 
  private:
-  /// One work-stealing deque. Owners pop the front (ascending seeded
-  /// order), thieves pop the back.
-  struct Slot {
-    Mutex mutex{"runtime.exec.deque"};
-    std::deque<i32> tasks CODS_GUARDED_BY(mutex);
-  };
-
-  void worker_loop(i32 slot);
-  /// Claims the next task for `slot` (own front, then victims' backs);
-  /// -1 when every task has been claimed.
-  i32 next_task(i32 slot);
+  void worker_loop();
   void run_task(i32 task);
   /// Hands a blocked worker's slot to a spare: wakes a parked thread or
   /// spawns a new one.
   void escalate();
-  void spawn_locked(i32 slot) CODS_REQUIRES(state_mutex_);
+  void spawn_locked() CODS_REQUIRES(state_mutex_);
   /// Called by a surplus runner after finishing a task: parks as a spare
   /// (returns true to keep working after a wake-up) or retires for good.
   bool park_or_retire();
@@ -106,11 +95,11 @@ class WorkStealingExecutor final : public blocking::Observer {
   const i32 pool_size_;
   i32 ntasks_ = 0;
   const std::function<void(i32)>* body_ = nullptr;
-  std::vector<Slot> slots_;
 
-  std::atomic<i32> claimed_{0};    ///< tasks popped from deques
+  /// Next task index to hand out; claims past ntasks_ mean "no work".
+  std::atomic<i32> claimed_{0};
   std::atomic<i32> completed_{0};  ///< task bodies returned
-  std::atomic<i32> runnable_{0};   ///< threads executing or scanning
+  std::atomic<i32> runnable_{0};   ///< threads executing or claiming
   std::atomic<i32> blocked_{0};    ///< task bodies parked in waits
   std::atomic<i32> live_{0};       ///< threads spawned and not yet exited
 
@@ -122,14 +111,12 @@ class WorkStealingExecutor final : public blocking::Observer {
   i32 spare_wakeups_ CODS_GUARDED_BY(state_mutex_) = 0;
   bool shutdown_ CODS_GUARDED_BY(state_mutex_) = false;
   std::exception_ptr escaped_ CODS_GUARDED_BY(state_mutex_);
-  i32 next_spawn_slot_ CODS_GUARDED_BY(state_mutex_) = 0;
 
   ExecutorStats stats_;  ///< peaks maintained via the atomics below
   std::atomic<i32> peak_live_{0};
   std::atomic<i32> peak_blocked_{0};
   std::atomic<i32> escalations_{0};
   std::atomic<i32> spare_reuses_{0};
-  std::atomic<i32> steals_{0};
   std::atomic<i32> total_spawned_{0};
 };
 

@@ -376,18 +376,8 @@ std::vector<RankFailure> Runtime::run_collect(
                  "placement outside the cluster");
   }
   placement_ = placement;
-  mailboxes_.clear();
-  sim_mail_.reset();
-  if (exec_mode_ == ExecMode::kSimulate) {
-    // One dense cell per rank instead of a Mailbox (mutex + condvar +
-    // deque) per rank: all fibers share the calling thread, so the
-    // per-rank lock sharding kPooled needs is pure overhead here.
-    sim_mail_ = std::make_unique<SimMailboxPool>(n);
-  } else {
-    for (i32 r = 0; r < n; ++r) {
-      mailboxes_.push_back(std::make_unique<Mailbox>());
-    }
-  }
+  mail_.reset();  // free the last wave's cells before allocating these
+  mail_ = std::make_unique<MailboxPool>(n);
   {
     // Groups registered by previous waves' splits are unreachable once
     // their Comm handles die with the rank bodies; drop them here so the
@@ -430,7 +420,7 @@ std::vector<RankFailure> Runtime::run_collect(
   };
   last_sim_stats_ = SimStats{};
   if (exec_mode_ == ExecMode::kPooled) {
-    WorkStealingExecutor executor(exec_pool_size_);
+    PoolExecutor executor(exec_pool_size_);
     executor.run(n, rank_main);
     last_exec_stats_ = executor.stats();
   } else {
@@ -454,37 +444,16 @@ std::vector<RankFailure> Runtime::run_collect(
 
 void Runtime::mail_push(i32 dst_global, i32 src_global, i64 comm_tag,
                         std::span<const std::byte> payload) {
-  if (sim_mail_ != nullptr) {
-    sim_mail_->push(dst_global, src_global, comm_tag, payload);
-    return;
-  }
-  Message m;
-  m.src_global = src_global;
-  m.comm_tag = comm_tag;
-  m.payload.assign(payload.begin(), payload.end());
-  mailbox(dst_global).push(std::move(m));
+  mail_->push(dst_global, src_global, comm_tag, payload);
 }
 
 Message Runtime::mail_pop(i32 rank, i32 src_global, i64 comm_tag) {
-  if (sim_mail_ != nullptr) {
-    return sim_mail_->pop(rank, src_global, comm_tag, recv_timeout());
-  }
-  return mailbox(rank).pop(src_global, comm_tag, recv_timeout());
+  return mail_->pop(rank, src_global, comm_tag, recv_timeout());
 }
 
 std::optional<Message> Runtime::mail_try_pop(i32 rank, i32 src_global,
                                              i64 comm_tag) {
-  if (sim_mail_ != nullptr) {
-    return sim_mail_->try_pop(rank, src_global, comm_tag);
-  }
-  return mailbox(rank).try_pop(src_global, comm_tag);
-}
-
-Mailbox& Runtime::mailbox(i32 global_rank) {
-  CODS_REQUIRE(global_rank >= 0 &&
-                   global_rank < static_cast<i32>(mailboxes_.size()),
-               "global rank out of range");
-  return *mailboxes_[static_cast<size_t>(global_rank)];
+  return mail_->try_pop(rank, src_global, comm_tag);
 }
 
 CoreLoc Runtime::loc(i32 global_rank) const {

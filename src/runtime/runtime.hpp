@@ -4,11 +4,12 @@
 // per-application communicators (MPI_Comm_split, paper §IV-C), then run a
 // pre-linked application subroutine.
 //
-// Ranks run on a bounded work-stealing thread pool (kPooled) or as
-// discrete-event fibers on one thread (kSimulate); point-to-point messages
-// go through per-rank mailboxes; every send is byte-accounted against the
-// platform model using the sender/receiver core placement. This
-// substitutes for MPI per DESIGN.md §1 while keeping real data movement.
+// Ranks run on a bounded thread pool (kPooled) or as discrete-event
+// fibers on one thread (kSimulate); point-to-point messages go through
+// one dense mailbox pool in both modes; every send is byte-accounted
+// against the platform model using the sender/receiver core placement.
+// This substitutes for MPI per DESIGN.md §1 while keeping real data
+// movement.
 #pragma once
 
 #include <atomic>
@@ -23,14 +24,13 @@
 #include "runtime/executor.hpp"
 #include "runtime/mailbox.hpp"
 #include "runtime/sim.hpp"
-#include "runtime/sim_mailbox.hpp"
 
 namespace cods {
 
 /// How run_collect dispatches rank bodies.
 enum class ExecMode {
-  /// Bounded work-stealing pool with blocking-aware escalation
-  /// (WorkStealingExecutor). The default: thread count scales with
+  /// Bounded thread pool with blocking-aware escalation
+  /// (PoolExecutor). The default: thread count scales with
   /// hardware concurrency plus concurrently-blocked ranks, not with the
   /// rank count.
   kPooled,
@@ -227,7 +227,7 @@ class Runtime {
   ExecMode exec_mode() const { return exec_mode_; }
 
   /// Worker cap for ExecMode::kPooled; <= 0 (the default) selects
-  /// WorkStealingExecutor::default_pool_size().
+  /// PoolExecutor::default_pool_size().
   void set_exec_pool_size(i32 pool_size) { exec_pool_size_ = pool_size; }
   i32 exec_pool_size() const { return exec_pool_size_; }
 
@@ -249,18 +249,13 @@ class Runtime {
   }
 
   // --- internals used by Comm ---
-  /// Mode-dispatching mailbox plane. kPooled keeps one Mailbox per
-  /// rank (real threads contend on real locks); ExecMode::kSimulate
-  /// swaps the whole plane for a dense SimMailboxPool (one 64-byte cell
-  /// per rank, runtime/sim_mailbox.hpp) built by run_collect. Message
-  /// semantics — FIFO per match, timeout error, byte accounting — are
-  /// identical.
+  /// The mailbox plane: one MailboxPool cell per rank
+  /// (runtime/mailbox.hpp), built by run_collect and shared by both exec
+  /// modes. Receives time out after recv_timeout().
   void mail_push(i32 dst_global, i32 src_global, i64 comm_tag,
                  std::span<const std::byte> payload);
   Message mail_pop(i32 rank, i32 src_global, i64 comm_tag);
   std::optional<Message> mail_try_pop(i32 rank, i32 src_global, i64 comm_tag);
-  /// Live-mode per-rank mailbox (unused under kSimulate).
-  Mailbox& mailbox(i32 global_rank);
   CoreLoc loc(i32 global_rank) const;
   i64 alloc_comm_id() { return next_comm_id_.fetch_add(1); }
 
@@ -285,10 +280,7 @@ class Runtime {
   std::atomic<std::chrono::seconds> recv_timeout_{std::chrono::seconds(120)};
   // Rebuilt single-threadedly in run_collect() before ranks spawn and only
   // read while they execute (the spawn is the synchronization point).
-  // Exactly one of the two planes is populated per run: mailboxes_ for
-  // kPooled, sim_mail_ for kSimulate.
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-  std::unique_ptr<SimMailboxPool> sim_mail_;
+  std::unique_ptr<MailboxPool> mail_;
   std::vector<CoreLoc> placement_;
   std::atomic<i64> next_comm_id_{1};
   Mutex comm_groups_mutex_{"runtime.comm_groups"};

@@ -11,7 +11,10 @@
 // blocking.hpp), suspending the calling fiber until the matching wakeup
 // event. Transports, byte ledgers, fault injection, traces and health
 // heartbeats therefore run byte-for-byte unchanged; the golden-trace and
-// equivalence suites pin simulate-mode output to kPooled's exactly.
+// equivalence suites pin simulate-mode output to kPooled's exactly. Even
+// the message plane is shared: the runtime's MailboxPool (runtime/
+// mailbox.hpp) parks receivers on per-cell CondVars, which divert here
+// like any other wait.
 //
 // Timed waits (mailbox receives, space/lock-service waits bounded by
 // RetryPolicy::op_timeout) become virtual deadlines that fire only at
@@ -48,7 +51,7 @@ struct SimStats {
 };
 
 /// Single-threaded discrete-event executor with the same run(n, body)
-/// surface as WorkStealingExecutor. One instance enacts one task set;
+/// surface as PoolExecutor. One instance enacts one task set;
 /// stats() describes the most recent run. Bodies must funnel all
 /// blocking through CondVar/Mutex (common/sync.hpp) — true of every
 /// transport and service in src/ — and must not spin-poll without

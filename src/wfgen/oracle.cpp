@@ -115,7 +115,7 @@ void check_byte_conservation(const EnactResult& run, OracleReport& report) {
   }
 
   // Every class, control included, reconciles exactly against the
-  // metrics registry.
+  // metrics registry: bytes per transport and the record count.
   for (const auto& [name, metrics_c, journal_c] :
        {std::tuple<const char*, ByteCounters, ByteCounters>{
             "inter-app", run.total_inter, cls_total(TrafficClass::kInterApp)},
@@ -124,14 +124,15 @@ void check_byte_conservation(const EnactResult& run, OracleReport& report) {
         std::tuple<const char*, ByteCounters, ByteCounters>{
             "control", run.total_control,
             cls_total(TrafficClass::kControl)}}) {
-    if (metrics_c.shm_bytes != journal_c.shm_bytes ||
-        metrics_c.net_bytes != journal_c.net_bytes) {
+    if (metrics_c != journal_c) {
       report.violations.push_back(
           std::string(name) + " metrics (" +
           std::to_string(metrics_c.shm_bytes) + " shm, " +
-          std::to_string(metrics_c.net_bytes) + " net) != journal (" +
+          std::to_string(metrics_c.net_bytes) + " net, " +
+          std::to_string(metrics_c.transfers) + " transfers) != journal (" +
           std::to_string(journal_c.shm_bytes) + " shm, " +
-          std::to_string(journal_c.net_bytes) + " net)");
+          std::to_string(journal_c.net_bytes) + " net, " +
+          std::to_string(journal_c.transfers) + " transfers)");
     }
   }
 }

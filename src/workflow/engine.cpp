@@ -77,7 +77,7 @@ std::vector<NodeBytes> WorkflowServer::dht_node_bytes(
   // task writes only its own slot), so fan the queries out on the wave
   // executor instead of walking thousands of tasks serially.
   if (consumer.spec.ntasks() > 1 && options.exec_mode == ExecMode::kPooled) {
-    WorkStealingExecutor executor(options.exec_pool_size);
+    PoolExecutor executor(options.exec_pool_size);
     executor.run(consumer.spec.ntasks(), rank_bytes);
   } else {
     for (i32 rank = 0; rank < consumer.spec.ntasks(); ++rank) {

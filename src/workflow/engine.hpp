@@ -50,12 +50,12 @@ struct WorkflowOptions {
   /// and control RPCs land in one reconcilable log.
   TransferLog* transfer_log = nullptr;
   /// Rank dispatch for every wave (docs/PERF.md "Enactment scaling").
-  /// kPooled runs ranks on a bounded work-stealing pool; kSimulate enacts
-  /// ranks as discrete events on one thread (docs/SIMULATION.md). All
-  /// observable outputs (traces, ledgers, failure handling) are
-  /// identical — the cross-mode equivalence suites pin this. Applies to
-  /// every enactment the engine runs, including one-rank speculative
-  /// straggler copies.
+  /// kPooled runs ranks on a bounded thread pool (PoolExecutor);
+  /// kSimulate enacts ranks as discrete events on one thread
+  /// (docs/SIMULATION.md). Both share one mailbox plane. All observable
+  /// outputs (traces, ledgers, failure handling) are identical — the
+  /// cross-mode equivalence suites pin this. Applies to every enactment
+  /// the engine runs, including one-rank speculative straggler copies.
   ExecMode exec_mode = ExecMode::kPooled;
   /// Worker cap for kPooled; <= 0 selects the hardware-concurrency
   /// default. Also sizes the mapping-stage DHT lookup parallel-for.

@@ -23,11 +23,26 @@ class DartTest : public ::testing::Test {
 };
 
 TEST_F(DartTest, TransportSelectionByNode) {
-  EXPECT_EQ(dart_.select_transport({0, 0}, {0, 3}),
-            TransportKind::kSharedMemory);
-  EXPECT_EQ(dart_.select_transport({0, 0}, {1, 0}), TransportKind::kRdma);
-  EXPECT_EQ(dart_.select_transport({2, 1}, {2, 1}),
-            TransportKind::kSharedMemory);
+  // Shared memory iff both endpoints sit on the same node: each pair
+  // reads 4 bytes under its own app id, which meters exactly one of the
+  // shm/net counters.
+  auto win = bytes({1, 2, 3, 4});
+  dart_.expose(1, 1, win);
+  const auto read_counters = [&](i32 app, CoreLoc local, CoreLoc remote) {
+    std::vector<std::byte> dst(4);
+    dart_.get({0, local}, app, TrafficClass::kInterApp, {1, remote}, 1, 0,
+              dst);
+    return metrics_.counters(app, TrafficClass::kInterApp);
+  };
+  const ByteCounters same_node = read_counters(0, {0, 0}, {0, 3});
+  EXPECT_EQ(same_node.shm_bytes, 4u);
+  EXPECT_EQ(same_node.net_bytes, 0u);
+  const ByteCounters cross_node = read_counters(1, {0, 0}, {1, 0});
+  EXPECT_EQ(cross_node.shm_bytes, 0u);
+  EXPECT_EQ(cross_node.net_bytes, 4u);
+  const ByteCounters same_core = read_counters(2, {2, 1}, {2, 1});
+  EXPECT_EQ(same_core.shm_bytes, 4u);
+  EXPECT_EQ(same_core.net_bytes, 0u);
 }
 
 TEST_F(DartTest, ExposeWindowLookup) {

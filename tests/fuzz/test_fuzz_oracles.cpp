@@ -127,6 +127,12 @@ TEST(FuzzOracles, OraclesFlagPlantedViolations) {
   tampered.journal.push_back(tampered.journal.front());
   EXPECT_FALSE(wfgen::check_oracles(spec, tampered).ok());
 
+  // Byte conservation: a metered zero-byte control record that was never
+  // journaled (the bytes still agree; only the record count differs).
+  tampered = run;
+  tampered.total_control.transfers += 1;
+  EXPECT_FALSE(wfgen::check_oracles(spec, tampered).ok());
+
   // Journal overflow forfeits exact reconciliation.
   tampered = run;
   tampered.journal_dropped = 1;

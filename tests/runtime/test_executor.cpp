@@ -1,4 +1,4 @@
-// Work-stealing executor tests (docs/PERF.md "Enactment scaling"): task
+// Pool executor tests (docs/PERF.md "Enactment scaling"): task
 // coverage, bounded thread counts, blocking-aware escalation under
 // mailbox receives, collectives and lock-service waits, and failure
 // ordering identical under kPooled and kSimulate.
@@ -33,7 +33,7 @@ constexpr bool kTsan = false;
 constexpr i32 kStressRanks = kTsan ? 512 : 4096;
 
 TEST(Executor, RunsEveryTaskExactlyOnce) {
-  WorkStealingExecutor executor(4);
+  PoolExecutor executor(4);
   const i32 n = 1000;
   std::vector<std::atomic<i32>> hits(static_cast<size_t>(n));
   executor.run(n, [&](i32 task) {
@@ -50,7 +50,7 @@ TEST(Executor, RunsEveryTaskExactlyOnce) {
 }
 
 TEST(Executor, RethrowsAnEscapedException) {
-  WorkStealingExecutor executor(2);
+  PoolExecutor executor(2);
   EXPECT_THROW(executor.run(8,
                             [&](i32 task) {
                               if (task == 5) throw std::runtime_error("boom");
@@ -63,7 +63,7 @@ TEST(Executor, EscalationSurvivesAllTasksRendezvousing) {
   // deadlocks unless each blocking task hands its execution slot to a
   // newly spawned (or re-used) thread. This is the liveness contract
   // collectives rely on.
-  WorkStealingExecutor executor(4);
+  PoolExecutor executor(4);
   const i32 n = 64;
   Mutex mutex{"test.rendezvous"};
   CondVar cv;
@@ -81,9 +81,9 @@ TEST(Executor, EscalationSurvivesAllTasksRendezvousing) {
 }
 
 TEST(Executor, DefaultPoolSizeTracksHardware) {
-  EXPECT_GE(WorkStealingExecutor::default_pool_size(), 2);
-  WorkStealingExecutor executor;  // <= 0 selects the default
-  EXPECT_EQ(executor.pool_size(), WorkStealingExecutor::default_pool_size());
+  EXPECT_GE(PoolExecutor::default_pool_size(), 2);
+  PoolExecutor executor;  // <= 0 selects the default
+  EXPECT_EQ(executor.pool_size(), PoolExecutor::default_pool_size());
 }
 
 /// Placement helper: `n` ranks over as few 64-core nodes as needed.
@@ -100,9 +100,9 @@ TEST(PooledRuntime, StressGroupPipelineKeepsThreadCountBounded) {
   // kStressRanks ranks in rings of 8: each rank sends to its successor
   // (buffered, never blocks) and then blocks receiving from its
   // predecessor — thousands of mailbox waits funnelled through the
-  // escalation path, while the round-robin deques keep rank dispatch
-  // near-in-order so the live-thread count stays a small multiple of the
-  // pool instead of one thread per rank.
+  // escalation path, while the single claim cursor dispatches ranks in
+  // ascending order so the live-thread count stays a small multiple of
+  // the pool instead of one thread per rank.
   const i32 n = kStressRanks;
   Cluster cluster(ClusterSpec{.num_nodes = (n + 63) / 64,
                               .cores_per_node = 64});

@@ -1,11 +1,13 @@
-// Mailbox contention tests: many producers and consumers on one mailbox,
-// exercising the annotated Mutex/CondVar pair under load (TSan CI subset).
+// Mailbox contention tests: many producers and consumers on one
+// MailboxPool cell driven by real threads, exercising the pool's shared
+// Mutex and per-cell CondVar under load (TSan CI subset).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <set>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -14,13 +16,9 @@
 namespace cods {
 namespace {
 
-Message make_message(i32 src, i64 tag, int value) {
-  Message m;
-  m.src_global = src;
-  m.comm_tag = tag;
-  m.payload.resize(sizeof(int));
-  std::memcpy(m.payload.data(), &value, sizeof(int));
-  return m;
+/// Queues `value` as the payload of a (src, tag) message on cell 0.
+void push_value(MailboxPool& box, i32 src, i64 tag, int value) {
+  box.push(0, src, tag, std::as_bytes(std::span<const int>(&value, 1)));
 }
 
 int value_of(const Message& m) {
@@ -33,13 +31,13 @@ TEST(MailboxContention, ManyProducersManyConsumersDeliverEverything) {
   constexpr int kProducers = 4;
   constexpr int kConsumers = 4;
   constexpr int kPerProducer = 500;
-  Mailbox box;
+  MailboxPool box(1);
 
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&box, p] {
       for (int i = 0; i < kPerProducer; ++i) {
-        box.push(make_message(p, 1, p * kPerProducer + i));
+        push_value(box, p, 1, p * kPerProducer + i);
       }
     });
   }
@@ -53,7 +51,7 @@ TEST(MailboxContention, ManyProducersManyConsumersDeliverEverything) {
         const int n = consumed.fetch_add(1);
         if (n >= kProducers * kPerProducer) break;
         const Message m =
-            box.pop(kAnySource, 1, std::chrono::seconds(30));
+            box.pop(0, kAnySource, 1, std::chrono::seconds(30));
         seen[c].insert(value_of(m));
       }
     });
@@ -70,17 +68,17 @@ TEST(MailboxContention, ManyProducersManyConsumersDeliverEverything) {
   }
   EXPECT_EQ(total, static_cast<size_t>(kProducers * kPerProducer));
   EXPECT_EQ(all.size(), static_cast<size_t>(kProducers * kPerProducer));
-  EXPECT_EQ(box.size(), 0u);
+  EXPECT_EQ(box.size(0), 0u);
 }
 
 TEST(MailboxContention, SelectiveMatchingUnderLoadIsFifoPerSource) {
-  Mailbox box;
+  MailboxPool box(1);
   constexpr int kPerSource = 300;
   std::vector<std::thread> producers;
   for (int src = 0; src < 3; ++src) {
     producers.emplace_back([&box, src] {
       for (int i = 0; i < kPerSource; ++i) {
-        box.push(make_message(src, 7, i));
+        push_value(box, src, 7, i);
       }
     });
   }
@@ -91,7 +89,7 @@ TEST(MailboxContention, SelectiveMatchingUnderLoadIsFifoPerSource) {
   for (int src = 0; src < 3; ++src) {
     consumers.emplace_back([&box, src] {
       for (int i = 0; i < kPerSource; ++i) {
-        const Message m = box.pop(src, 7, std::chrono::seconds(30));
+        const Message m = box.pop(0, src, 7, std::chrono::seconds(30));
         EXPECT_EQ(m.src_global, src);
         EXPECT_EQ(value_of(m), i);
       }
@@ -99,25 +97,25 @@ TEST(MailboxContention, SelectiveMatchingUnderLoadIsFifoPerSource) {
   }
   for (auto& t : producers) t.join();
   for (auto& t : consumers) t.join();
-  EXPECT_EQ(box.size(), 0u);
+  EXPECT_EQ(box.size(0), 0u);
 }
 
 TEST(MailboxContention, ConcurrentTryPopDrainsExactlyOnce) {
-  Mailbox box;
+  MailboxPool box(1);
   constexpr int kMessages = 1000;
   std::atomic<int> delivered{0};
 
   std::thread producer([&] {
-    for (int i = 0; i < kMessages; ++i) box.push(make_message(0, 3, i));
+    for (int i = 0; i < kMessages; ++i) push_value(box, 0, 3, i);
   });
   std::thread poller([&] {
     while (delivered.load() < kMessages) {
-      if (box.try_pop(kAnySource, 3).has_value()) delivered.fetch_add(1);
+      if (box.try_pop(0, kAnySource, 3).has_value()) delivered.fetch_add(1);
     }
   });
   std::thread blocker([&] {
     while (delivered.load() < kMessages) {
-      const auto got = box.try_pop(kAnySource, 3);
+      const auto got = box.try_pop(0, kAnySource, 3);
       if (got.has_value()) {
         delivered.fetch_add(1);
       } else {
@@ -129,7 +127,7 @@ TEST(MailboxContention, ConcurrentTryPopDrainsExactlyOnce) {
   poller.join();
   blocker.join();
   EXPECT_EQ(delivered.load(), kMessages);
-  EXPECT_EQ(box.size(), 0u);
+  EXPECT_EQ(box.size(0), 0u);
 }
 
 }  // namespace
